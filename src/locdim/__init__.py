@@ -4,9 +4,8 @@ from .bounds import (BoundContradictionError, BoundEntry, BoundsReport,
                      bounds_report, kneser_beta_lower, kneser_beta_upper,
                      kneser_zeta_lower, moore_bounds, polarity_bounds)
 from .budget import Budget, BudgetExceededError
-from .fields import (Field, FieldElement, PolarityGraph, ProjectivePoint,
-                     er_polarity_graph, gf, is_prime_power, normalize_point,
-                     projective_points)
+from .fields import (Field, PolarityGraph, er_polarity_graph, gf,
+                     is_prime_power, normalize_point, projective_points)
 from .game import (ConstantStrategy, LocDecision, LocNumberResult,
                    MooreStrategy, UnhandledBeliefError, VerificationReport,
                    loc_decide, localization_number, moore_strategy,
@@ -31,10 +30,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundContradictionError", "BoundEntry", "BoundsReport", "Budget",
     "BudgetExceededError", "ConstantStrategy", "DegreeCheckReport",
-    "DetectResult", "Detection", "Field", "FieldElement",
+    "DetectResult", "Detection", "Field",
     "GadgetSearchResult", "Graph", "Hypergraph", "KneserLabel",
     "LocDecision", "LocNumberResult", "MetricDimensionResult",
-    "MooreStrategy", "PolarityGraph", "ProjectivePoint",
+    "MooreStrategy", "PolarityGraph",
     "ResolvingCertificate", "UnhandledBeliefError", "VerificationReport",
     "berge_girth", "bounds_report", "certify_detectable",
     "check_degree_properties", "cycle_graph", "default_regularity",

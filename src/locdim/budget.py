@@ -42,10 +42,3 @@ class Budget:
                     f"time budget exhausted (> {self.max_seconds}s)"
                 )
 
-    def exhausted(self) -> bool:
-        """True once a cap has been hit; spend() would have raised already."""
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
-            return True
-        if self.max_seconds is not None:
-            return time.monotonic() - self._started > self.max_seconds
-        return False

@@ -102,10 +102,10 @@ def _load_hypergraph(args) -> Hypergraph:
     raise ValueError("supply --hypergraph FILE or --n N --edges JSON")
 
 
-def _budget(args, *, allow_default: bool = True) -> Budget | None:
+def _budget(args) -> Budget | None:
     nodes, seconds = args.budget_nodes, args.budget_seconds
     if nodes is None and seconds is None:
-        return None if allow_default else Budget()
+        return None
     return Budget(max_nodes=nodes, max_seconds=seconds)
 
 
@@ -193,7 +193,7 @@ def cmd_hyper_convert(args) -> int:
 def cmd_hyper_gadget(args) -> int:
     res = search_girth5_gadget(
         args.k, max_vertices=args.max_vertices, regularity=args.regularity,
-        budget=_budget(args), cache_dir=args.cache_dir)
+        budget=_budget(args))
     if res.gadget is not None:
         H = res.gadget
         _emit({"found": True, "complete": True, "k": args.k,
@@ -215,8 +215,7 @@ def cmd_hyper_cover(args) -> int:
         H = Hypergraph.from_json_dict(data)
     else:
         res = search_girth5_gadget(args.k, max_vertices=args.max_vertices,
-                                   budget=_budget(args),
-                                   cache_dir=args.cache_dir)
+                                   budget=_budget(args))
         if res.gadget is None:
             if not res.complete:
                 print("error: gadget search budget exhausted", file=sys.stderr)
@@ -369,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="node budget for search-based commands")
     common.add_argument("--budget-seconds", type=float, default=None,
                         help="wall-clock budget for search-based commands")
-    common.add_argument("--threads", type=int, default=1,
-                        help="reserved; all solvers are single-threaded")
 
     parser = argparse.ArgumentParser(
         prog="locdim",
@@ -414,14 +411,12 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--k", type=int, required=True)
     h.add_argument("--max-vertices", type=int, default=12)
     h.add_argument("--regularity", type=int, default=None)
-    h.add_argument("--cache-dir", default=None)
     h.set_defaults(func=cmd_hyper_gadget)
     h = hyper_sub.add_parser("cover", parents=[common])
     h.add_argument("--k", type=int, required=True)
     h.add_argument("--n", type=int, required=True)
     h.add_argument("--gadget", help="hypergraph JSON file to tile with")
     h.add_argument("--max-vertices", type=int, default=12)
-    h.add_argument("--cache-dir", default=None)
     h.set_defaults(func=cmd_hyper_cover)
 
     p_md = sub.add_parser("md", help="metric dimension and resolving sets")

@@ -130,11 +130,6 @@ class Field:
             raise ZeroDivisionError("0 has no inverse")
         return self.inv_table[a]
 
-    def element(self, value: int) -> "FieldElement":
-        if not 0 <= value < self.q:
-            raise ValueError(f"{value} outside GF({self.q})")
-        return FieldElement(self, value)
-
     def dot3(self, u, v) -> int:
         """Dot product of coordinate triples, as a table-level operation."""
         acc = 0
@@ -150,61 +145,6 @@ class Field:
 def gf(q: int) -> Field:
     """The field context for GF(q); cached so contexts compare by identity."""
     return Field(q)
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A GF(q) value wrapped with operator sugar on top of the field tables."""
-
-    field: Field
-    value: int
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        return self + (-other)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, FieldElement)
-                and self.field is other.field and self.value == other.value)
-
-    def __hash__(self) -> int:
-        return hash((id(self.field), self.value))
-
-    def __repr__(self) -> str:
-        return f"{self.value}@GF({self.field.q})"
-
-
-@dataclass(frozen=True)
-class ProjectivePoint:
-    """A point of PG(2,q): coordinate triple scaled so the first nonzero
-    coordinate is 1. Equality on normalized coordinates."""
-
-    field: Field
-    coords: tuple[int, int, int]
-
-    @classmethod
-    def make(cls, field: Field, coords) -> "ProjectivePoint":
-        return cls(field, normalize_point(field, tuple(coords)))
-
-    def dot(self, other: "ProjectivePoint") -> int:
-        return self.field.dot3(self.coords, other.coords)
-
-    def is_absolute(self) -> bool:
-        return self.dot(self) == 0
-
-    def __str__(self) -> str:
-        return "(" + ":".join(str(c) for c in self.coords) + ")"
 
 
 def normalize_point(field: Field, coords: tuple[int, int, int]) -> tuple[int, int, int]:

@@ -9,9 +9,7 @@ duplicate edges are representable but flagged.
 from __future__ import annotations
 
 import enum
-import json
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
@@ -289,56 +287,16 @@ class GadgetSearchResult:
         return self.gadget is not None
 
 
-def _default_cache_dir() -> str:
-    env = os.environ.get("LOCDIM_CACHE_DIR")
-    if env:
-        return env
-    return os.path.join(os.path.expanduser("~"), ".cache", "locdim")
-
-
-def _gadget_cache_path(cache_dir: str, k: int, regularity: int) -> str:
-    return os.path.join(cache_dir, f"gadget-k{k}-r{regularity}.json")
-
-
-def _load_cached_gadget(path: str, k: int, regularity: int,
-                        max_vertices: int) -> Hypergraph | None:
-    try:
-        with open(path, encoding="ascii") as fh:
-            data = json.load(fh)
-        H = Hypergraph(data["m"], [tuple(e) for e in data["edges"]])
-    except (OSError, ValueError, KeyError, TypeError):
-        return None
-    if H.n > max_vertices or data.get("k") != k or data.get("regularity") != regularity:
-        return None
-    # Never trust a stale file: re-establish the full certificate.
-    if H.uniformity() != k or H.regularity() != regularity:
-        return None
-    if not certify_detectable(H, k):
-        return None
-    return H
-
-
-def _store_gadget(path: str, H: Hypergraph, k: int, regularity: int) -> None:
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    doc = {"k": k, "m": H.n, "regularity": regularity,
-           "edges": [list(e) for e in H.canonical_edges()]}
-    with open(path, "w", encoding="ascii") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def search_girth5_gadget(
     k: int,
     max_vertices: int = 12,
     regularity: int | None = None,
     budget: Budget | None = None,
-    cache_dir: str | None = None,
 ) -> GadgetSearchResult:
     """Backtracking search for a k-uniform, regularity-regular hypergraph of
     Berge girth at least 5 on at most max_vertices vertices.
 
-    The default regularity is ceil(k/2 + 1). Found gadgets are cached to disk
-    keyed by (k, regularity) and re-verified on load. Absence is a value:
+    The default regularity is ceil(k/2 + 1). Absence is a value:
     complete=True means the whole space was exhausted, not just the budget.
     """
     if k < 2:
@@ -348,12 +306,6 @@ def search_girth5_gadget(
         raise ValueError("regularity must be positive")
     if budget is None:
         budget = Budget(max_nodes=10**7)
-    cache_dir = cache_dir if cache_dir is not None else _default_cache_dir()
-    cache_path = _gadget_cache_path(cache_dir, k, r)
-    cached = _load_cached_gadget(cache_path, k, r, max_vertices)
-    if cached is not None:
-        return GadgetSearchResult(cached, complete=True)
-
     # Any vertex lies in r edges that pairwise share only that vertex.
     min_m = max(k, 1 + r * (k - 1))
     for m in range(min_m, max_vertices + 1):
@@ -368,7 +320,6 @@ def search_girth5_gadget(
             # Independent verification of what the incremental pruning promised.
             assert H.uniformity() == k and H.regularity() == r
             assert berge_girth(H) >= 5
-            _store_gadget(cache_path, H, k, r)
             return GadgetSearchResult(H, complete=True)
     return GadgetSearchResult(None, complete=True)
 

@@ -71,13 +71,15 @@ def greedy_resolving(G: Graph) -> tuple[int, ...]:
     """Iteratively add the landmark separating the most still-unresolved
     pairs, least vertex index on ties. Always returns a resolving set."""
     pairs = _pair_list(G)
-    masks = _cover_masks(G, pairs)
-    full = (1 << len(pairs)) - 1
+    return _greedy_cover(G.n, _cover_masks(G, pairs), (1 << len(pairs)) - 1)
+
+
+def _greedy_cover(n: int, masks: list[int], full: int) -> tuple[int, ...]:
     covered = 0
     chosen: list[int] = []
     while covered != full:
         best_v, best_gain = None, -1
-        for v in range(G.n):
+        for v in range(n):
             gain = (masks[v] & ~covered).bit_count()
             if gain > best_gain:
                 best_v, best_gain = v, gain
@@ -116,7 +118,7 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
         return MetricDimensionResult(0, 0, (), True, cert, 0)
     masks = _cover_masks(G, pairs)
     full = (1 << len(pairs)) - 1
-    incumbent = list(greedy_resolving(G))
+    incumbent = list(_greedy_cover(G.n, masks, full))
     max_cover = max(m.bit_count() for m in masks)
     lower0 = max(1, math.ceil(len(pairs) / max_cover))
 

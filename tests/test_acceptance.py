@@ -162,14 +162,13 @@ def test_criterion_08_random_hypergraph_degree_conditions():
     print("ACCEPTANCE PASS [8] random-hypergraph-degree-conditions")
 
 
-def test_criterion_09_girth5_corpus_detectable(tmp_path):
+def test_criterion_09_girth5_corpus_detectable():
     # high girth plus the degree floor forces detectability; check the
     # whole small corpus by brute force
     corpus = [L.cycle_graph(n) for n in range(5, 13)]
     corpus.append(L.petersen())
     for reg in (2, 3):
-        res = L.search_girth5_gadget(2, max_vertices=12, regularity=reg,
-                                     cache_dir=str(tmp_path))
+        res = L.search_girth5_gadget(2, max_vertices=12, regularity=reg)
         assert res.gadget is not None
         corpus.append(L.Graph(res.gadget.n,
                               [(a - 1, b - 1) for a, b in res.gadget.edges]))
@@ -201,9 +200,8 @@ def test_criterion_10_bound_values():
     print("ACCEPTANCE PASS [10] bound-values")
 
 
-def test_criterion_11_cover_construction(tmp_path):
-    res = L.search_girth5_gadget(2, max_vertices=12, regularity=2,
-                                 cache_dir=str(tmp_path))
+def test_criterion_11_cover_construction():
+    res = L.search_girth5_gadget(2, max_vertices=12, regularity=2)
     assert res.gadget is not None
     with stopwatch() as sw:
         S = L.kneser_resolving_cover(2, 10, res.gadget)
@@ -212,7 +210,7 @@ def test_criterion_11_cover_construction(tmp_path):
     assert sw.elapsed < 5.0
     # the 3-uniform branch is conditional on a gadget existing; absence on
     # twelve vertices is a result, not a failure
-    res3 = L.search_girth5_gadget(3, max_vertices=12, cache_dir=str(tmp_path))
+    res3 = L.search_girth5_gadget(3, max_vertices=12)
     if res3.gadget is not None:
         m = res3.gadget.n
         S = L.kneser_resolving_cover(3, 3 * m, res3.gadget)

@@ -174,37 +174,47 @@ def test_hyper_convert_round_trip(tmp_path, capsys):
     assert sorted(back["landmarks"]) == want
 
 
-def test_hyper_gadget_found(tmp_path, capsys):
-    code, art, _ = run_json(capsys, "hyper", "gadget", "--k", "2",
-                            "--cache-dir", str(tmp_path))
+def test_hyper_gadget_found(capsys):
+    code, art, _ = run_json(capsys, "hyper", "gadget", "--k", "2")
     assert code == 0
     assert art["found"] is True
     assert art["n"] == 5
     assert art["berge_girth"] >= 5
 
 
-def test_hyper_gadget_absence_is_reported_not_failed(tmp_path, capsys):
+def test_hyper_gadget_absence_is_reported_not_failed(capsys):
     code, art, _ = run_json(capsys, "hyper", "gadget", "--k", "3",
-                            "--max-vertices", "9",
-                            "--cache-dir", str(tmp_path))
+                            "--max-vertices", "9")
     assert code == 0
     assert art == {"found": False, "complete": True, "k": 3,
                    "max_vertices": 9}
 
 
-def test_hyper_gadget_budget_exhaustion(tmp_path, capsys):
+def test_hyper_gadget_budget_exhaustion(capsys):
     code, _, err = run(capsys, "hyper", "gadget", "--k", "2",
-                       "--budget-nodes", "3", "--cache-dir", str(tmp_path))
+                       "--budget-nodes", "3")
     assert code == 2
     assert "budget" in err
 
 
-def test_hyper_cover_verified(tmp_path, capsys):
-    code, art, _ = run_json(capsys, "hyper", "cover", "--k", "2", "--n", "10",
-                            "--cache-dir", str(tmp_path))
+def test_hyper_cover_verified(capsys):
+    code, art, _ = run_json(capsys, "hyper", "cover", "--k", "2", "--n", "10")
     assert code == 0
     assert art["size"] == 10
     assert art["verified"] is True
+
+
+def test_gadget_commands_write_no_files(tmp_path, monkeypatch, capsys):
+    home, cache = tmp_path / "home", tmp_path / "cache"
+    home.mkdir()
+    cache.mkdir()
+    monkeypatch.setenv("HOME", str(home))
+    monkeypatch.setenv("LOCDIM_CACHE_DIR", str(cache))
+    code, art, _ = run_json(capsys, "hyper", "gadget", "--k", "2")
+    assert code == 0 and art["found"] is True
+    code, art, _ = run_json(capsys, "hyper", "cover", "--k", "2", "--n", "10")
+    assert code == 0 and art["verified"] is True
+    assert list(home.iterdir()) == [] and list(cache.iterdir()) == []
 
 
 def test_loc_decide(capsys):
@@ -302,8 +312,6 @@ def test_help_exits_0(capsys):
     assert "locdim" in out
 
 
-def test_threads_flag_is_accepted(capsys):
-    code, art, _ = run_json(capsys, "graph", "build", "--graph", "c5",
-                            "--threads", "4")
-    assert code == 0
-    assert art["n"] == 5
+def test_threads_flag_is_rejected(capsys):
+    assert main(["graph", "build", "--graph", "c5", "--threads", "4"]) == 3
+    capsys.readouterr()

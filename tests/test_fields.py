@@ -58,18 +58,6 @@ def test_gf_is_cached():
     assert L.gf(4) is not L.gf(5)
 
 
-def test_field_elements():
-    F = L.gf(9)
-    a, b = F.element(4), F.element(7)
-    assert (a + b).value == F.add(4, 7)
-    assert (a * b).value == F.mul(4, 7)
-    assert (a - b).value == F.add(4, F.neg(7))
-    assert (-a).value == F.neg(4)
-    assert a.inverse().value == F.inv(4)
-    assert a == F.element(4) and hash(a) == hash(F.element(4))
-    assert a != b
-
-
 def test_projective_points_are_normalized_and_counted():
     for q in (2, 3, 4, 5, 7):
         F = L.gf(q)

@@ -184,17 +184,17 @@ def test_default_regularity():
     assert L.default_regularity(5) == 4
 
 
-def test_gadget_search_k2_finds_five_cycle(tmp_path):
-    res = L.search_girth5_gadget(2, cache_dir=str(tmp_path))
+def test_gadget_search_k2_finds_five_cycle():
+    res = L.search_girth5_gadget(2)
     assert res and res.complete
     assert res.gadget.canonical_edges() == ((1, 2), (1, 3), (2, 4), (3, 5),
                                             (4, 5))
     assert L.berge_girth(res.gadget) == 5
 
 
-def test_gadget_search_k2_r3_finds_petersen(tmp_path):
+def test_gadget_search_k2_r3_finds_petersen():
     import networkx as nx
-    res = L.search_girth5_gadget(2, regularity=3, cache_dir=str(tmp_path))
+    res = L.search_girth5_gadget(2, regularity=3)
     H = res.gadget
     assert H is not None and H.n == 10 and H.num_edges == 15
     assert H.regularity() == 3
@@ -204,41 +204,28 @@ def test_gadget_search_k2_r3_finds_petersen(tmp_path):
     assert nx.is_isomorphic(A, B)
 
 
-def test_gadget_search_k3_absence_is_complete(tmp_path):
-    res = L.search_girth5_gadget(3, max_vertices=12, cache_dir=str(tmp_path))
+def test_gadget_search_k3_absence_is_complete():
+    res = L.search_girth5_gadget(3, max_vertices=12)
     assert res.gadget is None
     assert res.complete
     assert not res
 
 
-def test_gadget_search_budget_exhaustion(tmp_path):
-    res = L.search_girth5_gadget(2, regularity=3, cache_dir=str(tmp_path),
+def test_gadget_search_budget_exhaustion():
+    res = L.search_girth5_gadget(2, regularity=3,
                                  budget=L.Budget(max_nodes=3))
     assert res.gadget is None
     assert not res.complete
 
 
-def test_gadget_cache_round_trip(tmp_path):
-    first = L.search_girth5_gadget(2, cache_dir=str(tmp_path))
-    path = tmp_path / "gadget-k2-r2.json"
-    assert path.exists()
-    again = L.search_girth5_gadget(2, cache_dir=str(tmp_path))
+def test_gadget_search_is_deterministic():
+    first = L.search_girth5_gadget(2, regularity=3)
+    again = L.search_girth5_gadget(2, regularity=3)
     assert again.gadget.canonical_edges() == first.gadget.canonical_edges()
-    # a corrupt cache entry is ignored, not trusted
-    path.write_text('{"k": 2, "regularity": 2, "edges": [[1, 2], [1, 3]]}')
-    redo = L.search_girth5_gadget(2, cache_dir=str(tmp_path))
-    assert redo.gadget.canonical_edges() == first.gadget.canonical_edges()
 
 
-def test_gadget_cache_env_var(tmp_path, monkeypatch):
-    monkeypatch.setenv("LOCDIM_CACHE_DIR", str(tmp_path))
-    res = L.search_girth5_gadget(2)
-    assert res.gadget is not None
-    assert (tmp_path / "gadget-k2-r2.json").exists()
-
-
-def test_cover_k2_sizes_and_validity(tmp_path):
-    gadget = L.search_girth5_gadget(2, cache_dir=str(tmp_path)).gadget
+def test_cover_k2_sizes_and_validity():
+    gadget = L.search_girth5_gadget(2).gadget
     for n in (10, 11, 12, 15, 20):
         S = L.kneser_resolving_cover(2, n, gadget)
         G = L.kneser_graph(2, n)
@@ -247,8 +234,8 @@ def test_cover_k2_sizes_and_validity(tmp_path):
         assert len(S) <= bound.bound
 
 
-def test_cover_validation(tmp_path):
-    gadget = L.search_girth5_gadget(2, cache_dir=str(tmp_path)).gadget
+def test_cover_validation():
+    gadget = L.search_girth5_gadget(2).gadget
     with pytest.raises(ValueError):
         L.kneser_resolving_cover(2, 5, gadget)  # n < 3k
     with pytest.raises(ValueError):
