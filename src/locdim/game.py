@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
+from operator import itemgetter
 
 from .budget import Budget, BudgetExceededError
 from .graphs import Graph, graph_hash, is_moore_diam2
 from .resolving import greedy_resolving
 
-DEFAULT_LOC_BUDGET = 5 * 10**7  # distance lookups during partition evaluation
+# Budget units: |belief| x cops for every placement evaluated.
+DEFAULT_LOC_BUDGET = 5 * 10**7
 
 # Default scope of the exact decision; larger instances return "unknown"
 # unless the caller supplies an explicit budget.
@@ -45,6 +47,18 @@ def probe_partition(G: Graph, P, B) -> dict[tuple[int, ...], frozenset]:
     return {vec: frozenset(vs) for vec, vs in parts.items()}
 
 
+class _Memo(dict):
+    """A dict that fills each missing key from a function of the key."""
+
+    def __init__(self, fill) -> None:
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        value = self[key] = self.fill(key)
+        return value
+
+
 @dataclass(frozen=True)
 class LocDecision:
     result: str  # "cop-win" | "robber-win" | "unknown"
@@ -66,6 +80,9 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
     canonicalized under the graph's attached automorphism list and placements
     are deduplicated under each belief's stabilizer; pruning only removes
     isomorphic branches, so the outcome is schedule-independent.
+
+    Internally beliefs and observation classes are int bitmasks (vertex v is
+    bit n-1-v); the returned strategy maps frozenset beliefs to placements.
     """
     n = G.n
     if n == 0:
@@ -83,38 +100,78 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
         budget = Budget(max_nodes=DEFAULT_LOC_BUDGET)
     size = min(k, n)
 
-    autos = G.automorphisms if use_symmetry else None
-    canon_cache: dict[frozenset, frozenset] = {}
+    # Vertex v is bit n-1-v, so the lexicographically least sorted vertex
+    # tuple among a belief's images is the largest mask.
+    def bits(m: int) -> list[int]:
+        out = []
+        while m:
+            low = m & -m
+            out.append(low.bit_length() - 1)
+            m ^= low
+        return out
 
-    def canon(b: frozenset) -> frozenset:
-        if not autos:
-            return b
-        hit = canon_cache.get(b)
-        if hit is None:
-            hit = frozenset(min(tuple(sorted(sig[v] for v in b)) for sig in autos))
-            canon_cache[b] = hit
-        return hit
+    def vertices(m: int) -> frozenset:
+        return frozenset(n - 1 - i for i in bits(m))
+
+    closed = [0] * n  # closed neighbourhood, by bit position
+    layers = []  # per vertex, its distance layers as masks
+    for v in range(n):
+        by_dist: dict[int, int] = {}
+        for w, d in enumerate(G.distance_row(v)):
+            by_dist[d] = by_dist.get(d, 0) | 1 << (n - 1 - w)
+        closed[n - 1 - v] = by_dist[0] | by_dist.get(1, 0)
+        layers.append(tuple(by_dist.values()))
+
+    autos = G.automorphisms if use_symmetry else None
+    # per automorphism, the image bit of each bit position
+    images = [[1 << (n - 1 - sig[n - 1 - i]) for i in range(n)]
+              for sig in autos or ()]
+
+    def image_sums(b: int):
+        # every belief has at least two vertices, so itemgetter yields tuples
+        return map(sum, map(itemgetter(*bits(b)), images))
 
     all_placements = list(combinations(range(n), size))
 
-    def placements_for(B: frozenset):
+    def atoms_of(i: int) -> tuple[int, ...]:
+        """The cells of V split by distance vector to placement i."""
+        cells = ((1 << n) - 1,)
+        for p in all_placements[i]:
+            cells = tuple(c & layer for c in cells for layer in layers[p]
+                          if c & layer)
+        return cells
+
+    atoms = _Memo(atoms_of)
+
+    def placements_for(B: int):
         if not autos:
-            return all_placements
-        stab = [sig for sig in autos if all(sig[v] in B for v in B)]
+            return range(len(all_placements))
+        stab = [sig for sig, img in zip(autos, image_sums(B)) if img == B]
         if len(stab) <= 1:
-            return all_placements
+            return range(len(all_placements))
+        # the first placement of each stabilizer orbit in lexicographic order
         seen, out = set(), []
-        for P in all_placements:
-            key = min(tuple(sorted(sig[p] for p in P)) for sig in stab)
-            if key not in seen:
-                seen.add(key)
-                out.append(key)
+        for i, P in enumerate(all_placements):
+            if P not in seen:
+                out.append(i)
+                seen.update(tuple(sorted(sig[p] for p in P)) for sig in stab)
         return out
 
-    start = canon(frozenset(range(n)))
-    # AND-OR reachability: per belief, each placement option lists the
-    # canonical successor beliefs that must all be winning.
-    options: dict[frozenset, list[tuple[tuple[int, ...], frozenset]]] = {}
+    def successor(c: int) -> int:
+        """The canonical spread of class c; 0 when c is already located."""
+        if not c & (c - 1):
+            return 0
+        s = 0
+        for i in bits(c):
+            s |= closed[i]
+        return max(image_sums(s)) if autos else s
+
+    successors = _Memo(successor)
+    start = max(image_sums((1 << n) - 1)) if autos else (1 << n) - 1
+    # AND-OR reachability: per belief, each distinct set of successors a
+    # placement leads to, with the first placement that does; every
+    # successor must be winning (0 always is).
+    options: dict[int, dict[frozenset, int]] = {}
     placements_evaluated = 0
     try:
         frontier = [start]
@@ -122,52 +179,41 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
             B = frontier.pop()
             if B in options:
                 continue
-            opts = []
-            for P in placements_for(B):
-                budget.spend(len(B) * size)
+            opts: dict[frozenset, int] = {}
+            charge = B.bit_count() * size
+            for i in placements_for(B):
+                budget.spend(charge)
                 placements_evaluated += 1
-                parts = probe_partition(G, P, B)
-                nexts = set()
-                for cls in parts.values():
-                    if len(cls) > 1:
-                        nexts.add(canon(spread(G, cls)))
-                opts.append((P, frozenset(nexts)))
-                for nc in nexts:
-                    if nc not in options:
-                        frontier.append(nc)
+                nexts = frozenset(map(successors.__getitem__,
+                                      map(B.__and__, atoms[i])))
+                opts.setdefault(nexts, i)
             options[B] = opts
+            frontier.extend(frozenset().union(*opts).difference(options, (0,)))
     except BudgetExceededError:
         return LocDecision("unknown", k, beliefs=len(options),
                            placements=placements_evaluated,
                            reason="budget exhausted during belief expansion")
 
-    # Propagate wins: an option fires once all its successors are winning.
-    pending: dict[tuple[frozenset, int], int] = {}
-    dependents: dict[frozenset, list[tuple[frozenset, int]]] = {}
-    winning: dict[frozenset, tuple[int, ...]] = {}
-    queue = []
+    # Propagate wins from 0: an option fires once all its successors are
+    # winning, and its belief wins with that option's placement.
+    dependents: dict[int, list[list]] = {}
     for B, opts in options.items():
-        for i, (P, nexts) in enumerate(opts):
-            if not nexts:
-                if B not in winning:
-                    winning[B] = P
-                    queue.append(B)
-                break
-            pending[(B, i)] = len(nexts)
+        for nexts, i in opts.items():
+            entry = [len(nexts), B, i]
             for nc in nexts:
-                dependents.setdefault(nc, []).append((B, i))
+                dependents.setdefault(nc, []).append(entry)
+    winning: dict[int, int] = {}  # belief -> index of its winning placement
+    queue = [0]
     while queue:
-        ready = queue.pop()
-        for B, i in dependents.get(ready, ()):
-            if B in winning:
-                continue
-            pending[(B, i)] -= 1
-            if pending[(B, i)] == 0:
-                winning[B] = options[B][i][0]
-                queue.append(B)
+        for entry in dependents.get(queue.pop(), ()):
+            entry[0] -= 1
+            if entry[0] == 0 and entry[1] not in winning:
+                winning[entry[1]] = entry[2]
+                queue.append(entry[1])
 
     if start in winning:
-        return LocDecision("cop-win", k, strategy=dict(winning),
+        strategy = {vertices(B): all_placements[i] for B, i in winning.items()}
+        return LocDecision("cop-win", k, strategy=strategy,
                            beliefs=len(options), placements=placements_evaluated)
     return LocDecision("robber-win", k, beliefs=len(options),
                        placements=placements_evaluated)

@@ -330,8 +330,8 @@ def kneser_vertex_index(subset, k: int, n: int) -> int:
 def petersen() -> Graph:
     """The Petersen graph in its Kneser K(2,5) layout."""
     G = kneser_graph(2, 5)
-    return Graph(G.n, G.edges, labels=G.labels, name="petersen",
-                 automorphisms=G.automorphisms)
+    G.name = "petersen"
+    return G
 
 
 def hoffman_singleton() -> Graph:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locdim as L
+from locdim.cli import resolve_graph_spec
 
 from oracles import sweep_loc_decide
 
@@ -59,8 +60,66 @@ def test_loc_decide_matches_sweep_oracle():
         assert L.loc_decide(G, k).result == sweep_loc_decide(G, k)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_loc_decide_matches_sweep_oracle_on_random_graphs(data):
+    # disconnected graphs included: unreachable vertices form their own class
+    n = data.draw(st.integers(min_value=1, max_value=7))
+    pairs = list(combinations(range(n), 2))
+    edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    k = data.draw(st.sampled_from((1, 2)))
+    G = L.Graph(n, sorted(edges))
+    assert L.loc_decide(G, k).result == sweep_loc_decide(G, k)
+
+
+# (result, beliefs, placements) as first computed on frozenset beliefs
+PINNED_DECISIONS = [
+    ("petersen", 1, "robber-win", 5, 17),
+    ("petersen", 2, "robber-win", 5, 56),
+    ("petersen", 3, "cop-win", 3, 66),
+    ("c5", 2, "cop-win", 1, 2),
+    ("kneser:2:6", 2, "robber-win", 5, 74),
+    ("kneser:2:6", 3, "cop-win", 5, 235),
+    ("er:3", 2, "robber-win", 329, 25662),
+    ("er:3", 3, "cop-win", 275, 78650),
+]
+
+
+@pytest.mark.parametrize("spec,k,result,beliefs,placements", PINNED_DECISIONS)
+def test_loc_decide_pinned_counts(spec, k, result, beliefs, placements):
+    G = resolve_graph_spec(spec)[0]
+    d = L.loc_decide(G, k, budget=L.Budget(max_nodes=10**8))
+    assert (d.result, d.beliefs, d.placements) == (result, beliefs, placements)
+
+
+class SolverStrategy:
+    """Plays a loc_decide strategy: the placement for the belief the robber
+    can reach from the previous class."""
+
+    def __init__(self, G: L.Graph, strategy: dict) -> None:
+        self.G = G
+        self.strategy = strategy
+
+    def decide(self, prev_class=None):
+        if prev_class is None:
+            return self.strategy[frozenset(range(self.G.n))], "solver"
+        return self.strategy[L.spread(self.G, prev_class)], "solver"
+
+
+@pytest.mark.parametrize("spec,k", [("c5", 2), ("petersen", 3),
+                                     ("er:2", 2), ("er:3", 3)])
+def test_verifier_replays_whole_solver_strategy(spec, k):
+    G = resolve_graph_spec(spec)[0]
+    d = L.loc_decide(G, k, budget=L.Budget(max_nodes=10**8),
+                     use_symmetry=False)
+    assert d.result == "cop-win"
+    report = L.verify_strategy(G, SolverStrategy(G, d.strategy), k,
+                               max_rounds=len(d.strategy) + 1)
+    assert report.outcome == "captured"
+
+
 def test_loc_decide_symmetry_pruning_changes_nothing():
-    for G in (L.cycle_graph(6), L.petersen()):
+    for G in [L.cycle_graph(n) for n in range(4, 10)] + [L.petersen()]:
         for k in (1, 2, 3):
             a = L.loc_decide(G, k, use_symmetry=True)
             b = L.loc_decide(G, k, use_symmetry=False)

@@ -66,6 +66,8 @@ def test_petersen_is_kneser_2_5():
     assert L.graph_hash(P) == L.graph_hash(K)
     assert nx.is_isomorphic(to_nx(P), to_nx(K))
     assert P.name == "petersen"
+    assert P.labels == K.labels
+    assert P.automorphisms == K.automorphisms
 
 
 def test_kneser_diameter_formula():
