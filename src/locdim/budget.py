@@ -10,10 +10,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-# Wall-clock checks are comparatively expensive, so they only run once per
-# _TIME_CHECK_INTERVAL charged units.
-_TIME_CHECK_INTERVAL = 4096
-
 
 class BudgetExceededError(Exception):
     """A solver ran out of its node or time budget."""
@@ -27,7 +23,6 @@ class Budget:
     max_seconds: float | None = None
     nodes: int = 0
     _started: float = field(default_factory=time.monotonic, repr=False)
-    _next_time_check: int = field(default=_TIME_CHECK_INTERVAL, repr=False)
 
     def spend(self, amount: int = 1) -> None:
         self.nodes += amount
@@ -35,10 +30,9 @@ class Budget:
             raise BudgetExceededError(
                 f"node budget exhausted ({self.nodes} > {self.max_nodes})"
             )
-        if self.max_seconds is not None and self.nodes >= self._next_time_check:
-            self._next_time_check = self.nodes + _TIME_CHECK_INTERVAL
-            if time.monotonic() - self._started > self.max_seconds:
-                raise BudgetExceededError(
-                    f"time budget exhausted (> {self.max_seconds}s)"
-                )
+        if (self.max_seconds is not None
+                and time.monotonic() - self._started > self.max_seconds):
+            raise BudgetExceededError(
+                f"time budget exhausted (> {self.max_seconds}s)"
+            )
 

@@ -14,7 +14,7 @@ from itertools import combinations
 from operator import itemgetter
 
 from .budget import Budget, BudgetExceededError
-from .graphs import Graph, graph_hash, is_moore_diam2
+from .graphs import Graph, bits, graph_hash, is_moore_diam2
 from .resolving import greedy_resolving
 
 # Budget units: |belief| x cops for every placement evaluated.
@@ -28,11 +28,10 @@ DEFAULT_MAX_K = 4
 
 def spread(G: Graph, B) -> frozenset:
     """Union of closed neighborhoods: where the robber may be after moving."""
-    out = set()
+    out = 0
     for v in B:
-        out.add(v)
-        out.update(G.neighbors(v))
-    return frozenset(out)
+        out |= G.adj[v] | 1 << v
+    return frozenset(bits(out))
 
 
 def probe_partition(G: Graph, P, B) -> dict[tuple[int, ...], frozenset]:
@@ -102,14 +101,6 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
 
     # Vertex v is bit n-1-v, so the lexicographically least sorted vertex
     # tuple among a belief's images is the largest mask.
-    def bits(m: int) -> list[int]:
-        out = []
-        while m:
-            low = m & -m
-            out.append(low.bit_length() - 1)
-            m ^= low
-        return out
-
     def vertices(m: int) -> frozenset:
         return frozenset(n - 1 - i for i in bits(m))
 
@@ -302,7 +293,8 @@ class MooreStrategy:
         if len(C) <= 1:
             raise ValueError("strategy queried after the robber was located")
         G, k = self.G, self.k
-        u = next((x for x in range(G.n) if C <= G.neighbors(x)), None)
+        c = sum(1 << v for v in C)
+        u = next((x for x in range(G.n) if G.adj[x] & c == c), None)
         if u is not None:
             if len(C) == 2:
                 a1, a2 = sorted(C)

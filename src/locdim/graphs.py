@@ -1,4 +1,4 @@
-"""Immutable graphs with precomputed all-pairs distances, plus named families.
+"""Immutable graphs stored as adjacency bitmasks, plus named families.
 
 Vertices are always the dense integers 0..n-1. Families with natural vertex
 names (k-subsets for Kneser graphs, pentagon/pentagram coordinates for the
@@ -12,10 +12,19 @@ import hashlib
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass
 
 UNREACHABLE = -1  # dist() sentinel for disconnected pairs
+
+
+def bits(m: int) -> list[int]:
+    """The positions of the set bits of m, in increasing order."""
+    out = []
+    while m:
+        low = m & -m
+        out.append(low.bit_length() - 1)
+        m ^= low
+    return out
 
 
 @dataclass(frozen=True)
@@ -40,9 +49,13 @@ class KneserLabel:
 
 
 class Graph:
-    """Simple undirected graph; distances are computed eagerly by BFS."""
+    """Simple undirected graph stored as adjacency bitmasks.
 
-    __slots__ = ("n", "edges", "labels", "name", "automorphisms", "_adj", "_dist")
+    Bit v of ``adj[u]`` is set iff uv is an edge. Distances are derived: the
+    first ``distance_row(u)`` call runs a bitset BFS from u and keeps the row.
+    """
+
+    __slots__ = ("n", "edges", "labels", "name", "automorphisms", "adj", "_rows")
 
     def __init__(
         self,
@@ -71,70 +84,55 @@ class Graph:
         self.name = name
         self.automorphisms = tuple(tuple(p) for p in automorphisms) if automorphisms else None
 
-        adj = [set() for _ in range(n)]
+        adj = [0] * n
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        self._adj = tuple(frozenset(s) for s in adj)
-        self._dist = tuple(self._bfs(s) for s in range(n))
-
-    def _bfs(self, source: int) -> tuple[int, ...]:
-        dist = [UNREACHABLE] * self.n
-        dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for v in self._adj[u]:
-                if dist[v] == UNREACHABLE:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        return tuple(dist)
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        self.adj = tuple(adj)
+        self._rows: list[tuple[int, ...] | None] = [None] * n
 
     # -- distance and neighborhood views -------------------------------------
 
     def dist(self, u: int, v: int) -> int:
-        return self._dist[u][v]
+        return self.distance_row(u)[v]
 
     def distance_row(self, u: int) -> tuple[int, ...]:
-        return self._dist[u]
+        row = self._rows[u]
+        if row is None:
+            adj, dist = self.adj, [UNREACHABLE] * self.n
+            seen = layer = 1 << u
+            d = 0
+            while layer:
+                reached = 0
+                for v in bits(layer):
+                    dist[v] = d
+                    reached |= adj[v]
+                layer = reached & ~seen
+                seen |= reached
+                d += 1
+            row = self._rows[u] = tuple(dist)
+        return row
 
     def adjacent(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, u: int) -> frozenset:
-        return self._adj[u]
-
-    def closed_neighborhood(self, u: int) -> frozenset:
-        return self._adj[u] | {u}
-
-    def second_neighborhood(self, u: int) -> frozenset:
-        return frozenset(v for v in range(self.n) if self._dist[u][v] == 2)
+        return frozenset(bits(self.adj[u]))
 
     def degree(self, u: int) -> int:
-        return len(self._adj[u])
+        return self.adj[u].bit_count()
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(s) for s in self._adj)
-
-    @property
-    def vertices(self) -> range:
-        return range(self.n)
+        return tuple(m.bit_count() for m in self.adj)
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or UNREACHABLE not in self._dist[0]
+        return self.n <= 1 or UNREACHABLE not in self.distance_row(0)
 
     def diameter(self) -> int | float:
         """Largest finite distance; math.inf when disconnected."""
-        if self.n <= 1:
-            return 0
-        best = 0
-        for row in self._dist:
-            for d in row:
-                if d == UNREACHABLE:
-                    return math.inf
-                if d > best:
-                    best = d
-        return best
+        if not self.is_connected():
+            return math.inf
+        return max((max(self.distance_row(u)) for u in range(self.n)), default=0)
 
     def regularity(self) -> int | None:
         """The common degree when the graph is regular, else None."""
@@ -198,51 +196,42 @@ def graph_to_dot(G: Graph) -> str:
 def graph_girth(G: Graph) -> int | float:
     """Length of the shortest cycle; math.inf for forests.
 
-    For each edge uv, the shortest cycle through uv is 1 plus the u-v
-    distance with that edge removed; the minimum over edges is the girth.
+    A BFS from each root r visits layer d (the vertices at distance d). An
+    edge inside layer d closes a cycle of length at most 2d+1; a vertex of
+    layer d+1 with two neighbors in layer d closes one of length at most
+    2d+2. A root on a shortest cycle meets it at exactly its length, so the
+    minimum over roots is the girth.
     """
+    adj = G.adj
     best = math.inf
-    for u, v in G.edges:
-        d = _distance_avoiding_edge(G, u, v, cutoff=best - 1)
-        if d is not None and d + 1 < best:
-            best = d + 1
-            if best == 3:
-                return 3
+    for r in range(G.n):
+        seen = layer = 1 << r
+        d = 0
+        while layer and 2 * d + 1 < best:
+            if any(adj[v] & layer for v in bits(layer)):
+                best = 2 * d + 1
+                break
+            reached = twice = 0
+            for v in bits(layer):
+                new = adj[v] & ~seen
+                twice |= reached & new
+                reached |= new
+            if twice:
+                best = 2 * d + 2
+                break
+            seen |= reached
+            layer = reached
+            d += 1
+        if best == 3:
+            return 3
     return best
-
-
-def _distance_avoiding_edge(G: Graph, source: int, target: int, cutoff) -> int | None:
-    dist = {source: 0}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        if dist[u] >= cutoff:
-            return None
-        for w in G.neighbors(u):
-            if u == source and w == target:
-                continue  # the removed edge; BFS stops at target so the
-                # reverse direction can never be traversed
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                if w == target:
-                    return dist[w]
-                queue.append(w)
-    return None
 
 
 def has_c4(G: Graph) -> bool:
     """True iff some pair of vertices has at least two common neighbors."""
-    masks = [0] * G.n
-    for v in range(G.n):
-        m = 0
-        for w in G.neighbors(v):
-            m |= 1 << w
-        masks[v] = m
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            if (masks[u] & masks[v]).bit_count() >= 2:
-                return True
-    return False
+    adj = G.adj
+    return any((adj[u] & adj[v]).bit_count() >= 2
+               for u in range(G.n) for v in range(u + 1, G.n))
 
 
 def is_moore_diam2(G: Graph) -> int | None:
@@ -293,10 +282,9 @@ def kneser_graph(k: int, n: int) -> Graph:
     index = {s: i for i, s in enumerate(subsets)}
     edges = []
     for i, a in enumerate(subsets):
-        sa = set(a)
-        for j in range(i + 1, len(subsets)):
-            if sa.isdisjoint(subsets[j]):
-                edges.append((i, j))
+        rest = [e for e in range(1, n + 1) if e not in a]
+        edges.extend((i, j) for b in itertools.combinations(rest, k)
+                     if (j := index[b]) > i)
     labels = [str(KneserLabel(s, n)) for s in subsets]
     autos = None
     if n <= _KNESER_AUTOMORPHISM_MAX_N:

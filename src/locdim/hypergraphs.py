@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 

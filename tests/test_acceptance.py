@@ -220,3 +220,15 @@ def test_criterion_11_cover_construction():
         assert res3.complete
         note = "3-uniform gadget absence on <= 12 vertices confirmed"
     print(f"ACCEPTANCE PASS [11] cover-construction ({note})")
+
+
+def test_criterion_12_large_kneser_build():
+    with stopwatch() as sw:
+        G = L.kneser_graph(5, 15)
+        assert G.dist(0, 1) == 2
+        assert G.dist(0, 3002) == 1
+    assert sw.elapsed < 20.0
+    assert G.n == 3003
+    assert len(G.edges) == 378378
+    assert G.regularity() == 252
+    print("ACCEPTANCE PASS [12] large-kneser-build")

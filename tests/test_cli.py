@@ -61,6 +61,17 @@ def test_tampered_artifact_is_refused(tmp_path, capsys):
     assert "hash" in err
 
 
+def test_graph_stats_on_a_disconnected_forest(tmp_path, capsys):
+    forest = tmp_path / "forest.json"
+    forest.write_text(json.dumps({"n": 5, "edges": [[0, 1], [1, 2], [3, 4]]}))
+    code, art, _ = run_json(capsys, "graph", "build", "--graph", str(forest),
+                            "--stats")
+    assert code == 0
+    assert art["diameter"] == "infinity"
+    assert art["girth"] == "infinity"
+    assert art["regularity"] is None
+
+
 def test_graph_export_dot(capsys):
     code, out, _ = run(capsys, "graph", "export", "--graph", "c5",
                        "--format", "dot")

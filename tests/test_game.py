@@ -17,7 +17,7 @@ def test_spread_is_union_of_closed_neighborhoods():
     for B in ({0}, {0, 1, 2}, set(range(10))):
         expect = set()
         for v in B:
-            expect |= P.closed_neighborhood(v)
+            expect |= P.neighbors(v) | {v}
         assert L.spread(P, frozenset(B)) == frozenset(expect)
 
 
@@ -26,7 +26,7 @@ def test_probe_partition_petersen_single_cop():
     parts = L.probe_partition(P, (0,), frozenset(range(10)))
     assert parts[(0,)] == frozenset({0})
     assert parts[(1,)] == P.neighbors(0)
-    assert parts[(2,)] == P.second_neighborhood(0)
+    assert parts[(2,)] == {u for u in range(P.n) if P.dist(0, u) == 2}
 
 
 def test_probe_partition_is_a_partition():

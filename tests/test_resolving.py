@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -80,6 +81,14 @@ def test_budget_exhaustion_yields_honest_interval():
     assert 1 <= res.lower <= res.upper
     assert L.is_resolving(G, res.landmarks).verified
     assert len(res.landmarks) == res.upper
+
+
+def test_time_budget_is_checked_on_every_spend():
+    budget = L.Budget(max_seconds=0)
+    time.sleep(0.01)
+    with pytest.raises(L.BudgetExceededError):
+        budget.spend()
+    assert budget.nodes == 1
 
 
 def test_greedy_resolving_on_corpus():
