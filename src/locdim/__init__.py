@@ -10,7 +10,7 @@ from .game import (ConstantStrategy, LocDecision, LocNumberResult,
                    MooreStrategy, UnhandledBeliefError, VerificationReport,
                    loc_decide, localization_number, moore_strategy,
                    probe_partition, spread, verify_strategy)
-from .graphs import (Graph, KneserLabel, cycle_graph, graph_from_json_dict,
+from .graphs import (Graph, automorphism_group, cycle_graph, graph_from_json_dict,
                      graph_girth, graph_hash, graph_to_dot, graph_to_json_dict,
                      has_c4, hoffman_singleton, is_moore_diam2, kneser_graph,
                      kneser_vertex_index, kneser_vertex_subsets, petersen)
@@ -31,11 +31,11 @@ __all__ = [
     "BoundContradictionError", "BoundEntry", "BoundsReport", "Budget",
     "BudgetExceededError", "ConstantStrategy", "DegreeCheckReport",
     "DetectResult", "Detection", "Field",
-    "GadgetSearchResult", "Graph", "Hypergraph", "KneserLabel",
+    "GadgetSearchResult", "Graph", "Hypergraph",
     "LocDecision", "LocNumberResult", "MetricDimensionResult",
     "MooreStrategy", "PolarityGraph",
     "ResolvingCertificate", "UnhandledBeliefError", "VerificationReport",
-    "berge_girth", "bounds_report", "certify_detectable",
+    "automorphism_group", "berge_girth", "bounds_report", "certify_detectable",
     "check_degree_properties", "cycle_graph", "default_regularity",
     "detection_vector", "er_polarity_graph", "gf", "graph_from_json_dict",
     "graph_girth", "graph_hash", "graph_to_dot", "graph_to_json_dict",

@@ -30,8 +30,8 @@ from .resolving import (greedy_resolving, is_resolving, metric_dimension,
                         moore_resolving, polarity_resolving)
 
 # Above this many vertices, constructions are emitted without the full
-# distance-vector re-verification, which would build the graph's sorted edge
-# tuple (K(2,100) has 11.7M edges).
+# distance-vector re-verification; the limit guards the pair list that
+# kneser_graph generates and graph_hash serializes (K(2,100) has 11.7M edges).
 VERIFY_VERTEX_LIMIT = 2500
 
 
@@ -254,7 +254,7 @@ def cmd_md_exact(args) -> int:
     G, _ = resolve_graph_spec(args.graph)
     res = metric_dimension(G, budget=_budget(args))
     _emit({
-        "graph_hash": graph_hash(G),
+        "graph_hash": res.certificate.graph_hash,
         "lower": res.lower,
         "upper": res.upper,
         "exact": res.exact,

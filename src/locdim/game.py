@@ -14,7 +14,7 @@ from itertools import combinations
 from operator import itemgetter
 
 from .budget import Budget, BudgetExceededError
-from .graphs import Graph, bits, graph_hash, is_moore_diam2
+from .graphs import Graph, automorphism_group, bits, graph_hash, is_moore_diam2
 from .resolving import greedy_resolving
 
 # Budget units: |belief| x cops for every placement evaluated.
@@ -76,9 +76,9 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
 
     Winning beliefs are downward closed, so placements of size exactly
     min(k, n) lose no generality. With symmetry enabled, beliefs are
-    canonicalized under the graph's attached automorphism list and placements
-    are deduplicated under each belief's stabilizer; pruning only removes
-    isomorphic branches, so the outcome is schedule-independent.
+    canonicalized under the group the graph's generators produce, and
+    placements are deduplicated under each belief's stabilizer; pruning only
+    removes isomorphic branches, so the outcome is schedule-independent.
 
     Internally beliefs and observation classes are int bitmasks (vertex v is
     bit n-1-v); the returned strategy maps frozenset beliefs to placements.
@@ -113,7 +113,7 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
         closed[n - 1 - v] = by_dist[0] | by_dist.get(1, 0)
         layers.append(tuple(by_dist.values()))
 
-    autos = G.automorphisms if use_symmetry else None
+    autos = automorphism_group(G) if use_symmetry else None
     # per automorphism, the image bit of each bit position
     images = [[1 << (n - 1 - sig[n - 1 - i]) for i in range(n)]
               for sig in autos or ()]

@@ -3,7 +3,8 @@
 Vertices are always the dense integers 0..n-1. Families with natural vertex
 names (k-subsets for Kneser graphs, pentagon/pentagram coordinates for the
 Hoffman-Singleton graph) carry them in ``labels``; adjacency logic never
-looks at labels, so one engine serves every family.
+looks at labels, so one engine serves every family. A graph stores its masks
+and symmetry generators; edges, distances and the group are derived.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import dataclass
 
 UNREACHABLE = -1  # dist() sentinel for disconnected pairs
 
@@ -27,35 +27,15 @@ def bits(m: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class KneserLabel:
-    """A sorted k-subset of {1..n}, the vertex name in K(k,n)."""
-
-    elements: tuple[int, ...]
-    n: int
-
-    def __post_init__(self) -> None:
-        elems = self.elements
-        if len(set(elems)) != len(elems) or tuple(sorted(elems)) != elems:
-            raise ValueError(f"label must be strictly increasing, got {elems}")
-        if not elems or elems[0] < 1 or elems[-1] > self.n:
-            raise ValueError(f"label elements must lie in 1..{self.n}, got {elems}")
-
-    def __str__(self) -> str:
-        # Single digits concatenate unambiguously; beyond 9 use a separator.
-        if self.n <= 9:
-            return "".join(str(e) for e in self.elements)
-        return "-".join(str(e) for e in self.elements)
-
-
 class Graph:
     """Simple undirected graph stored as adjacency bitmasks.
 
-    Bit v of ``adj[u]`` is set iff uv is an edge. Distances are derived: the
-    first ``distance_row(u)`` call runs a bitset BFS from u and keeps the row.
+    Bit v of ``adj[u]`` is set iff uv is an edge; ``generators`` are checked
+    automorphisms. ``edges`` is derived from the masks, and the first
+    ``distance_row(u)`` call runs a bitset BFS from u and keeps the row.
     """
 
-    __slots__ = ("n", "edges", "labels", "name", "automorphisms", "adj", "_rows")
+    __slots__ = ("n", "labels", "name", "generators", "adj", "_rows")
 
     def __init__(
         self,
@@ -63,33 +43,40 @@ class Graph:
         edges,
         labels=None,
         name: str | None = None,
-        automorphisms=None,
+        generators=None,
     ) -> None:
         if n < 0:
             raise ValueError("vertex count must be non-negative")
-        canon = set()
+        adj = [0] * n
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
-            canon.add((min(u, v), max(u, v)))
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
         self.n = n
-        self.edges = tuple(sorted(canon))
+        self.adj = tuple(adj)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
             if len(labels) != n:
                 raise ValueError("labels must cover every vertex")
         self.labels = labels
         self.name = name
-        self.automorphisms = tuple(tuple(p) for p in automorphisms) if automorphisms else None
-
-        adj = [0] * n
-        for u, v in self.edges:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-        self.adj = tuple(adj)
+        self.generators = tuple(tuple(sig) for sig in generators or ())
+        for sig in self.generators:
+            if sorted(sig) != list(range(n)):
+                raise ValueError(f"generator {sig} is not a permutation of 0..{n - 1}")
+            if any(sum(1 << sig[v] for v in bits(m)) != adj[sig[u]]
+                   for u, m in enumerate(adj)):
+                raise ValueError(f"generator {sig} is not an automorphism")
         self._rows: list[tuple[int, ...] | None] = [None] * n
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge once as (u, v) with u < v, in lexicographic order."""
+        return tuple((u, v) for u, m in enumerate(self.adj)
+                     for v in bits(m >> (u + 1) << (u + 1)))
 
     # -- distance and neighborhood views -------------------------------------
 
@@ -155,7 +142,23 @@ class Graph:
 
     def __repr__(self) -> str:
         name = self.name or "graph"
-        return f"<{name}: {self.n} vertices, {len(self.edges)} edges>"
+        return f"<{name}: {self.n} vertices, {sum(self.degrees()) // 2} edges>"
+
+
+def automorphism_group(G: Graph) -> list[tuple[int, ...]] | None:
+    """The group that G's generators produce, closed by BFS over
+    compositions; None when G carries no generators."""
+    if not G.generators:
+        return None
+    group = [tuple(range(G.n))]
+    seen = set(group)
+    for sig in group:  # grows while it is walked
+        for gen in G.generators:
+            img = tuple(map(gen.__getitem__, sig))
+            if img not in seen:
+                seen.add(img)
+                group.append(img)
+    return group
 
 
 # -- serialization ------------------------------------------------------------
@@ -255,20 +258,20 @@ def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("a cycle needs at least 3 vertices")
     edges = [(i, (i + 1) % n) for i in range(n)]
-    return Graph(n, edges, name=f"C{n}", automorphisms=_dihedral_perms(n))
+    rotation = tuple((i + 1) % n for i in range(n))
+    reflection = tuple(-i % n for i in range(n))
+    return Graph(n, edges, name=f"C{n}", generators=[rotation, reflection])
 
 
-def _dihedral_perms(n: int) -> list[tuple[int, ...]]:
-    perms = []
-    for s in range(n):
-        perms.append(tuple((i + s) % n for i in range(n)))
-        perms.append(tuple((s - i) % n for i in range(n)))
-    return perms
-
-
-# Attaching the full S_n action is only worthwhile while the permutation list
-# stays small enough for belief canonicalization to be a win.
+# Kneser graphs up to this n carry generators of the S_n action. Above it the
+# group is too large: ``loc_decide`` maps every new belief through all n!
+# elements, which stops paying for itself.
 _KNESER_AUTOMORPHISM_MAX_N = 7
+
+
+def kneser_vertex_subsets(k: int, n: int) -> list[tuple[int, ...]]:
+    """The vertex labels of K(k,n) as subsets, in vertex-index order."""
+    return list(itertools.combinations(range(1, n + 1), k))
 
 
 def kneser_graph(k: int, n: int) -> Graph:
@@ -278,27 +281,22 @@ def kneser_graph(k: int, n: int) -> Graph:
         raise ValueError("k and n must be positive")
     if k >= n:
         raise ValueError(f"need k < n, got k={k}, n={n}")
-    subsets = list(itertools.combinations(range(1, n + 1), k))
+    subsets = kneser_vertex_subsets(k, n)
     index = {s: i for i, s in enumerate(subsets)}
     edges = []
     for i, a in enumerate(subsets):
         rest = [e for e in range(1, n + 1) if e not in a]
         edges.extend((i, j) for b in itertools.combinations(rest, k)
                      if (j := index[b]) > i)
-    labels = [str(KneserLabel(s, n)) for s in subsets]
-    autos = None
-    if n <= _KNESER_AUTOMORPHISM_MAX_N:
-        autos = []
-        for perm in itertools.permutations(range(1, n + 1)):
-            mapping = tuple(index[tuple(sorted(perm[e - 1] for e in s))] for s in subsets)
-            autos.append(mapping)
+    # Single digits concatenate unambiguously; beyond 9 use a separator.
+    sep = "" if n <= 9 else "-"
+    labels = [sep.join(map(str, s)) for s in subsets]
+    # the transposition (1 2) and the n-cycle (1 2 ... n) generate S_n
+    perms = ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1))
+    gens = [tuple(index[tuple(sorted(p[e - 1] for e in s))] for s in subsets)
+            for p in perms] if n <= _KNESER_AUTOMORPHISM_MAX_N else None
     return Graph(len(subsets), edges, labels=labels, name=f"K({k},{n})",
-                 automorphisms=autos)
-
-
-def kneser_vertex_subsets(k: int, n: int) -> list[tuple[int, ...]]:
-    """The vertex labels of K(k,n) as subsets, in vertex-index order."""
-    return list(itertools.combinations(range(1, n + 1), k))
+                 generators=gens)
 
 
 def kneser_vertex_index(subset, k: int, n: int) -> int:

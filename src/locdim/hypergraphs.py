@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .budget import Budget, BudgetExceededError
-from .graphs import Graph, graph_girth, kneser_vertex_index
+from .graphs import (Graph, graph_girth, kneser_vertex_index,
+                     kneser_vertex_subsets)
 
 DEFAULT_DETECT_BUDGET = 10**8  # vector-entry comparisons
 
@@ -260,7 +261,7 @@ def resolving_to_hypergraph(S, k: int, n: int) -> Hypergraph:
     """Read each K(k,n) landmark's label as a hyperedge on [n]."""
     if n < 3 * k:
         raise ValueError(f"conversion requires n >= 3k, got n={n}, k={k}")
-    subsets = list(combinations(range(1, n + 1), k))
+    subsets = kneser_vertex_subsets(k, n)
     edges = []
     for s in S:
         if not 0 <= s < len(subsets):

@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from itertools import combinations
+from itertools import combinations, permutations
 
 import networkx as nx
 import pytest
@@ -67,7 +67,7 @@ def test_petersen_is_kneser_2_5():
     assert nx.is_isomorphic(to_nx(P), to_nx(K))
     assert P.name == "petersen"
     assert P.labels == K.labels
-    assert P.automorphisms == K.automorphisms
+    assert L.automorphism_group(P) == L.automorphism_group(K)
 
 
 def test_kneser_diameter_formula():
@@ -111,19 +111,52 @@ def test_kneser_labels():
 def test_automorphisms_preserve_adjacency():
     for G in (L.cycle_graph(5), L.cycle_graph(8), L.kneser_graph(2, 5),
               L.kneser_graph(2, 6)):
-        autos = G.automorphisms
+        autos = L.automorphism_group(G)
         assert autos
         assert len(set(autos)) == len(autos)
         for sig in autos:
             assert sorted(sig) == list(range(G.n))
             for u, v in G.edges:
                 assert G.adjacent(sig[u], sig[v])
-    assert len(L.cycle_graph(5).automorphisms) == 10
-    assert len(L.kneser_graph(2, 5).automorphisms) == 120
+    assert len(L.automorphism_group(L.cycle_graph(5))) == 10
+    assert len(L.automorphism_group(L.kneser_graph(2, 5))) == 120
 
 
 def test_large_kneser_skips_automorphisms():
-    assert L.kneser_graph(2, 8).automorphisms is None
+    assert L.automorphism_group(L.kneser_graph(2, 8)) is None
+
+
+def test_generators_must_be_automorphisms():
+    edges = L.petersen().edges
+    with pytest.raises(ValueError):  # a transposition that breaks adjacency
+        L.Graph(10, edges, generators=[(1, 0, *range(2, 10))])
+    for sig in [(0, 0, *range(2, 10)), tuple(range(9)), tuple(range(1, 11))]:
+        with pytest.raises(ValueError):
+            L.Graph(10, edges, generators=[sig])
+    assert L.Graph(10, edges, generators=L.petersen().generators).generators
+
+
+def test_group_is_sn_action_for_kneser_and_dihedral_for_cycles():
+    for n in range(2, 8):
+        for k in range(1, n):
+            subsets = list(combinations(range(1, n + 1), k))
+            index = {s: i for i, s in enumerate(subsets)}
+            action = {tuple(index[tuple(sorted(p[e - 1] for e in s))]
+                            for s in subsets)
+                      for p in permutations(range(1, n + 1))}
+            assert set(L.automorphism_group(L.kneser_graph(k, n))) == action, (k, n)
+    for n in range(3, 31):
+        dihedral = {tuple((s + i) % n for i in range(n)) for s in range(n)} \
+            | {tuple((s - i) % n for i in range(n)) for s in range(n)}
+        assert set(L.automorphism_group(L.cycle_graph(n))) == dihedral, n
+
+
+def test_edges_are_canonical_whatever_the_input_order():
+    A = L.Graph(4, [(1, 0), (0, 1), (2, 1), (1, 2)])
+    B = L.Graph(4, [(0, 1), (1, 2)])
+    assert A.edges == ((0, 1), (1, 2))
+    assert L.graph_to_json_dict(A) == L.graph_to_json_dict(B)
+    assert L.graph_hash(A) == L.graph_hash(B)
 
 
 def test_json_round_trip_and_hash():
