@@ -19,8 +19,8 @@ from .budget import Budget, BudgetExceededError
 from .fields import er_polarity_graph
 from .game import (ConstantStrategy, MooreStrategy, loc_decide,
                    localization_number, verify_strategy)
-from .graphs import (Graph, cycle_graph, graph_from_json_dict, graph_hash,
-                     graph_to_dot, graph_to_json_dict, graph_girth,
+from .graphs import (Graph, artifact_hash, cycle_graph, graph_from_json_dict,
+                     graph_hash, graph_to_dot, graph_to_json_dict, graph_girth,
                      hoffman_singleton, is_moore_diam2, kneser_graph, petersen)
 from .hypergraphs import (Hypergraph, berge_girth, certify_detectable,
                           hypergraph_to_resolving, is_detectable,
@@ -127,7 +127,7 @@ def _girth_value(g):
 def cmd_graph_build(args) -> int:
     G, _ = resolve_graph_spec(args.graph)
     art = graph_to_json_dict(G)
-    art["hash"] = graph_hash(G)
+    art["hash"] = artifact_hash(art)
     if args.stats:
         d = G.diameter()
         art["diameter"] = d if isinstance(d, int) else "infinity"
@@ -143,7 +143,7 @@ def cmd_graph_export(args) -> int:
         _emit_text(graph_to_dot(G), args.out)
     else:
         art = graph_to_json_dict(G)
-        art["hash"] = graph_hash(G)
+        art["hash"] = artifact_hash(art)
         _emit(art, args.out)
     return 0
 

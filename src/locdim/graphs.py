@@ -31,8 +31,9 @@ class Graph:
     """Simple undirected graph stored as adjacency bitmasks.
 
     Bit v of ``adj[u]`` is set iff uv is an edge; ``generators`` are checked
-    automorphisms. ``edges`` is derived from the masks, and the first
-    ``distance_row(u)`` call runs a bitset BFS from u and keeps the row.
+    automorphisms. ``edges`` is derived from the masks; ``distance_layers(u)``
+    runs a bitset BFS from u, and the first ``distance_row(u)`` call keeps
+    its result as a row.
     """
 
     __slots__ = ("n", "labels", "name", "generators", "adj", "_rows")
@@ -83,20 +84,30 @@ class Graph:
     def dist(self, u: int, v: int) -> int:
         return self.distance_row(u)[v]
 
+    def distance_layers(self, u: int) -> list[int]:
+        """Masks of the vertices at distance 0, 1, 2, ... from u: a bitset
+        BFS over ``adj`` that stops once every vertex is reached."""
+        adj, full = self.adj, (1 << self.n) - 1
+        seen = layer = 1 << u
+        layers = []
+        while layer:
+            layers.append(layer)
+            if seen == full:
+                break
+            reached = 0
+            for v in bits(layer):
+                reached |= adj[v]
+            layer = reached & ~seen
+            seen |= layer
+        return layers
+
     def distance_row(self, u: int) -> tuple[int, ...]:
         row = self._rows[u]
         if row is None:
-            adj, dist = self.adj, [UNREACHABLE] * self.n
-            seen = layer = 1 << u
-            d = 0
-            while layer:
-                reached = 0
+            dist = [UNREACHABLE] * self.n
+            for d, layer in enumerate(self.distance_layers(u)):
                 for v in bits(layer):
                     dist[v] = d
-                    reached |= adj[v]
-                layer = reached & ~seen
-                seen |= reached
-                d += 1
             row = self._rows[u] = tuple(dist)
         return row
 
@@ -116,10 +127,15 @@ class Graph:
         return self.n <= 1 or UNREACHABLE not in self.distance_row(0)
 
     def diameter(self) -> int | float:
-        """Largest finite distance; math.inf when disconnected."""
+        """Largest finite distance; math.inf when disconnected.
+
+        Read from ``distance_layers``, which stops once V is covered: on a
+        diameter-2 graph each vertex costs one OR per neighbour, and no
+        distance row is kept beyond vertex 0's.
+        """
         if not self.is_connected():
             return math.inf
-        return max((max(self.distance_row(u)) for u in range(self.n)), default=0)
+        return max((len(self.distance_layers(u)) for u in range(self.n)), default=1) - 1
 
     def regularity(self) -> int | None:
         """The common degree when the graph is regular, else None."""
@@ -178,7 +194,13 @@ def graph_from_json_dict(data: dict, name: str | None = None) -> Graph:
 
 def graph_hash(G: Graph) -> str:
     """Structural hash (vertex count + canonical edge list); labels excluded."""
-    payload = json.dumps({"n": G.n, "edges": [list(e) for e in G.edges]},
+    return artifact_hash(graph_to_json_dict(G))
+
+
+def artifact_hash(art: dict) -> str:
+    """``graph_hash`` of the graph whose ``graph_to_json_dict`` is ``art``,
+    read from the artifact's own ``n`` and ``edges``."""
+    payload = json.dumps({"n": art["n"], "edges": art["edges"]},
                          sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("ascii")).hexdigest()
 

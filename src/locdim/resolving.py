@@ -1,5 +1,11 @@
 """Resolving-set verification, exact metric dimension, and the constructive
-resolving sets for diameter-2 Moore graphs and polarity graphs."""
+resolving sets for diameter-2 Moore graphs and polarity graphs.
+
+Both solvers start from each vertex's distance layers as bitmasks. The greedy
+refines the partition of V by distance vector; the branch and bound covers
+vertex pairs with one pair-bit mask per landmark, built a block of pairs at
+a time from those layers.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from dataclasses import dataclass
 
 from .budget import Budget, BudgetExceededError
 from .fields import PolarityGraph
-from .graphs import Graph, graph_hash, is_moore_diam2
+from .graphs import Graph, bits, graph_hash, is_moore_diam2
 
 DEFAULT_MD_BUDGET = 2 * 10**6  # branch-and-bound nodes
 
@@ -50,46 +56,106 @@ def is_resolving(G: Graph, S) -> ResolvingCertificate:
     return ResolvingCertificate(graph_hash(G), landmarks, True)
 
 
-def _pair_list(G: Graph) -> list[tuple[int, int]]:
-    return [(a, b) for a in range(G.n) for b in range(a + 1, G.n)]
+def _layer_masks(G: Graph) -> list[list[int]]:
+    """layers[v][d] is the mask of the vertices at distance d from v, for
+    d = 0..ecc(v), plus a last entry for the UNREACHABLE ones (0 when G is
+    connected)."""
+    full = (1 << G.n) - 1
+    layers = []
+    for v in range(G.n):
+        masks = G.distance_layers(v)
+        masks.append(full - sum(masks))  # the layers are disjoint
+        layers.append(masks)
+    return layers
 
 
-def _cover_masks(G: Graph, pairs) -> list[int]:
-    """cover[v] has bit i set iff landmark v separates pair i."""
-    masks = [0] * G.n
-    for i, (a, b) in enumerate(pairs):
-        bit = 1 << i
-        row_a = G.distance_row(a)
-        row_b = G.distance_row(b)
-        for v in range(G.n):
-            if row_a[v] != row_b[v]:
-                masks[v] |= bit
-    return masks
+def _greedy(layers: list[list[int]]) -> tuple[tuple[int, ...], int]:
+    """Greedy on the partition of V by distance vector to the chosen
+    landmarks; returns the landmarks and the pairs left after the first.
+
+    A landmark v leaves unseparated the pairs inside each class C that share
+    a layer of v: the sum of C(|C & m|, 2) over the classes and v's layers.
+    The landmark with the fewest left is chosen, least index on ties (the
+    pair-count greedy of set cover, without the pairs). Classes are refined
+    by its layers; singletons drop out.
+    """
+    n = len(layers)
+    # Layer {v} meets a class in at most one vertex and the last non-empty
+    # layer's share is what the others leave, so neither is popcounted.
+    probes = [[m for m in masks[1:] if m][:-1] for masks in layers]
+    classes = [(1 << n) - 1] if n > 1 else []
+    chosen: list[int] = []
+    first = 0
+    while classes:
+        classes.sort(key=int.bit_count, reverse=True)  # big terms first
+        sized = [(c, c.bit_count()) for c in classes]
+        best_v, best = -1, math.inf
+        for v, probe in enumerate(probes):
+            left = 0
+            for c, size in sized:
+                rest = size - (c >> v & 1)
+                for m in probe:
+                    k = (c & m).bit_count()
+                    left += k * (k - 1) >> 1
+                    rest -= k
+                left += rest * (rest - 1) >> 1
+                if left >= best:
+                    break
+            else:  # no break: fewer left than every lower index
+                best_v, best = v, left
+        if not chosen:
+            first = best
+        chosen.append(best_v)
+        classes = [p for c in classes for m in layers[best_v]
+                   if (p := c & m) & (p - 1)]
+    return tuple(sorted(chosen)), first
 
 
 def greedy_resolving(G: Graph) -> tuple[int, ...]:
     """Iteratively add the landmark separating the most still-unresolved
-    pairs, least vertex index on ties. Always returns a resolving set."""
-    pairs = _pair_list(G)
-    return _greedy_cover(G.n, _cover_masks(G, pairs), (1 << len(pairs)) - 1)
+    pairs, least vertex index on ties. Always returns a resolving set (a
+    vertex separates itself from every other)."""
+    return _greedy(_layer_masks(G))[0]
 
 
-def _greedy_cover(n: int, masks: list[int], full: int) -> tuple[int, ...]:
-    covered = 0
-    chosen: list[int] = []
-    while covered != full:
-        best_v, best_gain = None, -1
-        for v in range(n):
-            gain = (masks[v] & ~covered).bit_count()
-            if gain > best_gain:
-                best_v, best_gain = v, gain
-        if best_gain <= 0:
-            # No landmark separates the rest: identical distance rows
-            # (only possible with twin vertices in degenerate inputs).
-            raise ValueError("graph has indistinguishable vertices; no resolving set exists")
-        chosen.append(best_v)
-        covered |= masks[best_v]
-    return tuple(sorted(chosen))
+def _cover_masks(layers: list[list[int]], budget: Budget | None = None) -> list[int]:
+    """cover[v] has bit i set iff landmark v separates the i-th vertex pair,
+    pairs (a, b) with a < b in lexicographic order.
+
+    The pairs (a, .) form one block of n-a-1 bits: v separates (a, b) iff b
+    lies outside v's layer holding a, so the block is that layer's
+    complement shifted right by a+1. ``budget.spend(0)`` per landmark reads
+    the clock without charging nodes.
+    """
+    n = len(layers)
+    full = (1 << n) - 1
+    starts = [a * n - a * (a + 1) // 2 for a in range(n)]  # index of (a, a+1)
+    masks = []
+    for masks_v in layers:
+        if budget is not None:
+            budget.spend(0)
+        mask = 0
+        for m in masks_v:
+            outside = full ^ m
+            for a in bits(m):
+                mask |= outside >> (a + 1) << starts[a]
+        masks.append(mask)
+    return masks
+
+
+def _distance_bound(layers: list[list[int]]) -> int:
+    """The least beta with beta + D^beta >= n on a connected graph of
+    diameter D, else 0. Outside a resolving set of beta landmarks every
+    vertex has a distinct vector in {1..D}^beta (Khuller, Raghavachari and
+    Rosenfeld, "Landmarks in graphs", 1996)."""
+    n = len(layers)
+    if n == 0 or layers[0][-1]:  # some vertex UNREACHABLE from vertex 0
+        return 0
+    diameter = max(map(len, layers)) - 2
+    beta = 0
+    while beta + diameter ** beta < n:
+        beta += 1
+    return beta
 
 
 @dataclass(frozen=True)
@@ -109,20 +175,26 @@ class MetricDimensionResult:
 def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionResult:
     """Branch-and-bound set cover over separating landmarks, with the greedy
     set as incumbent. Exact when the search closes; otherwise certified
-    [lower, upper] bounds. Deterministic: least-index tie-breaks only."""
+    [lower, upper] bounds, lower being the larger of the pair-count bound
+    and ``_distance_bound``. Deterministic: least-index tie-breaks only.
+
+    The search stays on pair masks: most nodes end at the bound check, one
+    AND and popcount per landmark, where a partition state would need one
+    popcount per class per landmark."""
     if budget is None:
         budget = Budget(max_nodes=DEFAULT_MD_BUDGET)
-    pairs = _pair_list(G)
-    if not pairs:
+    n = G.n
+    if n < 2:
         cert = ResolvingCertificate(graph_hash(G), (), True)
         return MetricDimensionResult(0, 0, (), True, cert, 0)
-    masks = _cover_masks(G, pairs)
-    full = (1 << len(pairs)) - 1
-    incumbent = list(_greedy_cover(G.n, masks, full))
-    max_cover = max(m.bit_count() for m in masks)
-    lower0 = max(1, math.ceil(len(pairs) / max_cover))
+    layers = _layer_masks(G)
+    # The greedy is not charged, so a capped run always holds a resolving
+    # set; its first step gives the best single landmark's pair count.
+    incumbent, first_left = _greedy(layers)
+    npairs = n * (n - 1) // 2
+    lower0 = max(math.ceil(npairs / (npairs - first_left)), _distance_bound(layers))
 
-    best = incumbent
+    best = list(incumbent)
 
     def dfs(chosen: list[int], covered: int, banned: frozenset) -> None:
         nonlocal best
@@ -157,6 +229,8 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
 
     exact = True
     try:
+        masks = _cover_masks(layers, budget)
+        full = (1 << npairs) - 1
         dfs([], 0, frozenset())
     except BudgetExceededError:
         exact = False

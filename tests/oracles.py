@@ -138,3 +138,32 @@ def randomized_resolving(G, rng):
             pending -= sep
     assert not pending
     return tuple(sorted(S))
+
+
+def pair_cover_masks(G) -> list[int]:
+    """cover[v] has bit i set iff landmark v separates the i-th vertex pair,
+    pairs in lexicographic order: one distance comparison per pair and
+    landmark."""
+    masks = [0] * G.n
+    pairs = [(a, b) for a in range(G.n) for b in range(a + 1, G.n)]
+    for i, (a, b) in enumerate(pairs):
+        row_a, row_b = G.distance_row(a), G.distance_row(b)
+        for v in range(G.n):
+            if row_a[v] != row_b[v]:
+                masks[v] |= 1 << i
+    return masks
+
+
+def pair_greedy_resolving(G) -> tuple[int, ...]:
+    """Greedy set cover over pair masks: add the landmark separating the
+    most still-unseparated pairs, least index on ties."""
+    masks = pair_cover_masks(G)
+    full = (1 << (G.n * (G.n - 1) // 2)) - 1
+    covered = 0
+    chosen = []
+    while covered != full:
+        gains = [(m & ~covered).bit_count() for m in masks]
+        best = gains.index(max(gains))
+        chosen.append(best)
+        covered |= masks[best]
+    return tuple(sorted(chosen))

@@ -232,3 +232,18 @@ def test_criterion_12_large_kneser_build():
     assert len(G.edges) == 378378
     assert G.regularity() == 252
     print("ACCEPTANCE PASS [12] large-kneser-build")
+
+
+def test_criterion_13_capped_md_exact_stops(capsys):
+    G = L.kneser_graph(4, 13)
+    with stopwatch() as sw:
+        code = main(["md", "exact", "--graph", "kneser:4:13",
+                     "--budget-seconds", "0.5"])
+    art = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert not art["exact"]
+    assert art["lower"] <= art["upper"] == len(art["landmarks"])
+    assert L.is_resolving(G, art["landmarks"]).verified
+    assert sw.elapsed < 20.0
+    print(f"ACCEPTANCE PASS [13] capped-md-exact ({sw.elapsed:.1f} s, "
+          f"[{art['lower']}, {art['upper']}])")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -326,3 +327,23 @@ def test_help_exits_0(capsys):
 def test_threads_flag_is_rejected(capsys):
     assert main(["graph", "build", "--graph", "c5", "--threads", "4"]) == 3
     capsys.readouterr()
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("md_exact_petersen.json", ["md", "exact", "--graph", "petersen"]),
+    ("md_exact_er_3.json", ["md", "exact", "--graph", "er:3"]),
+    ("md_exact_er_4.json", ["md", "exact", "--graph", "er:4"]),
+    ("md_exact_kneser_2_7.json", ["md", "exact", "--graph", "kneser:2:7"]),
+    ("md_exact_kneser_3_7.json", ["md", "exact", "--graph", "kneser:3:7"]),
+    ("md_greedy_kneser_3_10.json", ["md", "greedy", "--graph", "kneser:3:10"]),
+    # capped: its lower bound of 6 is the distance-vector bound
+    ("md_exact_hs_budget_nodes_20000.json",
+     ["md", "exact", "--graph", "hs", "--budget-nodes", "20000"]),
+])
+def test_md_artifacts_match_golden(capsys, golden, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == (2 if "--budget-nodes" in argv else 0)
+    assert out == (GOLDEN / golden).read_text()

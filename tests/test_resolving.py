@@ -1,12 +1,17 @@
 import json
 import random
 import time
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import locdim as L
+from locdim import resolving as R
 
-from oracles import exhaustive_metric_dimension, randomized_resolving
+from oracles import (exhaustive_metric_dimension, pair_cover_masks,
+                     pair_greedy_resolving, randomized_resolving)
 
 
 def test_is_resolving_verifies_and_witnesses():
@@ -97,6 +102,64 @@ def test_greedy_resolving_on_corpus():
         S = L.greedy_resolving(G)
         assert L.is_resolving(G, S).verified
     assert len(L.greedy_resolving(L.hoffman_singleton())) == 12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_kernels_match_pair_loop_oracles_on_random_graphs(data):
+    # n in {0, 1, 2} and disconnected graphs included
+    n = data.draw(st.integers(min_value=0, max_value=16))
+    pairs = list(combinations(range(n), 2))
+    edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    G = L.Graph(n, sorted(edges))
+    assert R._cover_masks(R._layer_masks(G)) == pair_cover_masks(G)
+    assert L.greedy_resolving(G) == pair_greedy_resolving(G)
+
+
+def test_kernels_match_pair_loop_oracles_on_families():
+    for G in (L.petersen(), L.hoffman_singleton(), L.kneser_graph(2, 7),
+              L.kneser_graph(3, 7), L.er_polarity_graph(4).graph,
+              L.cycle_graph(9)):
+        assert R._cover_masks(R._layer_masks(G)) == pair_cover_masks(G)
+        assert L.greedy_resolving(G) == pair_greedy_resolving(G)
+    G = L.kneser_graph(3, 9)
+    assert L.greedy_resolving(G) == pair_greedy_resolving(G)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_capped_lower_bound_is_below_the_metric_dimension(data):
+    n = data.draw(st.integers(min_value=2, max_value=10))
+    # a random spanning tree keeps the graph connected
+    edges = {(data.draw(st.integers(min_value=0, max_value=v - 1)), v)
+             for v in range(1, n)}
+    edges |= data.draw(st.sets(st.sampled_from(list(combinations(range(n), 2)))))
+    G = L.Graph(n, sorted(edges))
+    beta = len(exhaustive_metric_dimension(G))
+    assert R._distance_bound(R._layer_masks(G)) <= beta
+    res = L.metric_dimension(G, budget=L.Budget(max_nodes=1))
+    assert res.lower <= beta <= res.upper
+
+
+def test_distance_bound_values():
+    def bound(G):
+        return R._distance_bound(R._layer_masks(G))
+    assert bound(L.hoffman_singleton()) == 6  # 5 + 2^5 < 50 <= 6 + 2^6
+    assert bound(L.kneser_graph(4, 13)) == 10
+    assert bound(L.Graph(5, [(a, b) for a, b in combinations(range(5), 2)])) == 4
+    assert bound(L.Graph(4, [(0, 1), (2, 3)])) == 0  # disconnected
+    assert bound(L.Graph(0, [])) == bound(L.Graph(1, [])) == 0
+
+
+def test_run_stopped_while_masks_are_built_keeps_an_interval():
+    G = L.hoffman_singleton()
+    budget = L.Budget(max_seconds=0)
+    time.sleep(0.01)
+    res = L.metric_dimension(G, budget=budget)
+    assert not res.exact and res.nodes == 0
+    assert (res.lower, res.upper) == (6, 12)
+    assert res.landmarks == L.greedy_resolving(G)
+    assert L.is_resolving(G, res.landmarks).verified
 
 
 def test_greedy_is_deterministic():
