@@ -4,7 +4,10 @@ resolving sets for diameter-2 Moore graphs and polarity graphs.
 Both solvers start from each vertex's distance layers as bitmasks. The greedy
 refines the partition of V by distance vector; the branch and bound covers
 vertex pairs with one pair-bit mask per landmark, built a block of pairs at
-a time from those layers.
+a time from those layers. A child's uncovered pairs are a subset of its
+parent's, so the counts a node takes for its landmarks bound those at every
+child from above, and children are pruned against them before they are
+entered.
 """
 
 from __future__ import annotations
@@ -178,9 +181,14 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
     [lower, upper] bounds, lower being the larger of the pair-count bound
     and ``_distance_bound``. Deterministic: least-index tie-breaks only.
 
-    The search stays on pair masks: most nodes end at the bound check, one
-    AND and popcount per landmark, where a partition state would need one
-    popcount per class per landmark."""
+    Each open node counts, once, the uncovered pairs every unbanned
+    landmark separates, and bounds each child from those counts. A child
+    with d landmarks and R uncovered pairs is open iff d + 1 < |best| and
+    some unbanned landmark separates more than ceil(R / (|best| - d - 1)) - 1
+    of them. Only the landmarks whose count at the parent exceeds that are
+    recounted on the child's pairs, largest first, up to the first that
+    still does. Most nodes end there. Every node, open or not, is one
+    ``budget.spend()``, in depth-first order."""
     if budget is None:
         budget = Budget(max_nodes=DEFAULT_MD_BUDGET)
     n = G.n
@@ -196,42 +204,51 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
 
     best = list(incumbent)
 
-    def dfs(chosen: list[int], covered: int, banned: frozenset) -> None:
+    def expand(chosen: list[int], covered: int, pool: list[int]) -> None:
+        """Branch an open node on its lowest uncovered pair. ``pool`` holds,
+        ascending, the landmarks not banned here that separate some
+        uncovered pair. Each child is charged and bounded here, from the
+        counts of this node; only the open ones recurse."""
         nonlocal best
-        budget.spend()
-        if covered == full:
-            if len(chosen) < len(best):
-                best = list(chosen)
-            return
-        if len(chosen) + 1 >= len(best):
-            return
-        remaining = full & ~covered
-        # cheapest admissible completion: every landmark covers <= max_avail
-        max_avail = 0
-        for v in range(G.n):
-            if v not in banned:
-                c = (masks[v] & remaining).bit_count()
-                if c > max_avail:
-                    max_avail = c
-        if max_avail == 0:
-            return
-        if len(chosen) + math.ceil(remaining.bit_count() / max_avail) >= len(best):
-            return
+        remaining = full ^ covered
+        counts = [(masks[u] & remaining).bit_count() for u in pool]
+        ranked = sorted(range(len(pool)), key=counts.__getitem__, reverse=True)
         pair_bit = remaining & -remaining
-        candidates = [v for v in range(G.n)
-                      if v not in banned and masks[v] & pair_bit]
-        newly_banned = set()
-        for v in candidates:
-            chosen.append(v)
-            dfs(chosen, covered | masks[v], banned | frozenset(newly_banned))
-            chosen.pop()
-            newly_banned.add(v)
+        depth = len(chosen) + 1
+        banned = 0  # the earlier siblings, as a vertex mask
+        for v in pool:
+            if not masks[v] & pair_bit:
+                continue
+            budget.spend()
+            child = covered | masks[v]
+            if child == full:
+                if depth < len(best):
+                    best = chosen + [v]
+            elif (slack := len(best) - depth) > 1:
+                # Open iff some landmark covers more than cap of the child's
+                # pairs: depth + ceil(left / max) < len(best). The counts
+                # here bound those of the child from above.
+                left = remaining & ~masks[v]
+                cap = (left.bit_count() - 1) // (slack - 1)
+                for i in ranked:
+                    if counts[i] <= cap:
+                        break
+                    u = pool[i]
+                    if not banned >> u & 1 and (masks[u] & left).bit_count() > cap:
+                        chosen.append(v)
+                        expand(chosen, child, [w for w, c in zip(pool, counts)
+                                               if c and not banned >> w & 1])
+                        chosen.pop()
+                        break
+            banned |= 1 << v
 
     exact = True
     try:
         masks = _cover_masks(layers, budget)
         full = (1 << npairs) - 1
-        dfs([], 0, frozenset())
+        budget.spend()  # the root, bounded like any child
+        if len(best) > 1 and npairs - first_left > (npairs - 1) // (len(best) - 1):
+            expand([], 0, list(range(n)))
     except BudgetExceededError:
         exact = False
     landmarks = tuple(sorted(best))

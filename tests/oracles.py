@@ -4,8 +4,11 @@ Everything here is deliberately written with a different algorithm than the
 module under test: exhaustive subset scans instead of branch and bound,
 BFS-per-vertex girth instead of edge-removal girth, a plain sweeping fixpoint
 instead of the symmetry-pruned attractor. Slow but obviously correct.
+The ``pair_*`` functions are earlier, plainer versions of the resolving
+kernels, kept as references that the faster ones must match exactly.
 """
 
+import math
 from itertools import combinations
 
 import networkx as nx
@@ -167,3 +170,63 @@ def pair_greedy_resolving(G) -> tuple[int, ...]:
         chosen.append(best)
         covered |= masks[best]
     return tuple(sorted(chosen))
+
+
+def pair_metric_dimension(G, budget):
+    """The branch and bound as it was before children were pruned from
+    their parent's counts: every node spends, then takes one AND and
+    popcount per unbanned landmark for its bound. Same incumbent, masks and
+    interval as ``resolving.metric_dimension``, so the two must agree node
+    for node; returns (lower, upper, landmarks, exact, nodes)."""
+    from locdim import resolving as R
+
+    n = G.n
+    if n < 2:
+        return 0, 0, (), True, 0
+    layers = R._layer_masks(G)
+    incumbent, first_left = R._greedy(layers)
+    npairs = n * (n - 1) // 2
+    lower0 = max(math.ceil(npairs / (npairs - first_left)), R._distance_bound(layers))
+
+    best = list(incumbent)
+
+    def dfs(chosen: list[int], covered: int, banned: frozenset) -> None:
+        nonlocal best
+        budget.spend()
+        if covered == full:
+            if len(chosen) < len(best):
+                best = list(chosen)
+            return
+        if len(chosen) + 1 >= len(best):
+            return
+        remaining = full & ~covered
+        # cheapest admissible completion: every landmark covers <= max_avail
+        max_avail = 0
+        for v in range(G.n):
+            if v not in banned:
+                c = (masks[v] & remaining).bit_count()
+                if c > max_avail:
+                    max_avail = c
+        if max_avail == 0:
+            return
+        if len(chosen) + math.ceil(remaining.bit_count() / max_avail) >= len(best):
+            return
+        pair_bit = remaining & -remaining
+        candidates = [v for v in range(G.n)
+                      if v not in banned and masks[v] & pair_bit]
+        newly_banned = set()
+        for v in candidates:
+            chosen.append(v)
+            dfs(chosen, covered | masks[v], banned | frozenset(newly_banned))
+            chosen.pop()
+            newly_banned.add(v)
+
+    exact = True
+    try:
+        masks = R._cover_masks(layers, budget)
+        full = (1 << npairs) - 1
+        dfs([], 0, frozenset())
+    except R.BudgetExceededError:
+        exact = False
+    lower = len(best) if exact else lower0
+    return lower, len(best), tuple(sorted(best)), exact, budget.nodes

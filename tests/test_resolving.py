@@ -11,7 +11,8 @@ import locdim as L
 from locdim import resolving as R
 
 from oracles import (exhaustive_metric_dimension, pair_cover_masks,
-                     pair_greedy_resolving, randomized_resolving)
+                     pair_greedy_resolving, pair_metric_dimension,
+                     randomized_resolving)
 
 
 def test_is_resolving_verifies_and_witnesses():
@@ -159,6 +160,58 @@ def test_run_stopped_while_masks_are_built_keeps_an_interval():
     assert not res.exact and res.nodes == 0
     assert (res.lower, res.upper) == (6, 12)
     assert res.landmarks == L.greedy_resolving(G)
+    assert L.is_resolving(G, res.landmarks).verified
+
+
+class RecordingBudget(L.Budget):
+    """A Budget that logs the amount of every spend() call."""
+
+    def __init__(self, **caps):
+        super().__init__(**caps)
+        self.spends = []
+
+    def spend(self, amount: int = 1) -> None:
+        self.spends.append(amount)
+        super().spend(amount)
+
+
+def assert_search_matches_oracle(G, max_nodes):
+    budget = RecordingBudget(max_nodes=max_nodes)
+    oracle_budget = RecordingBudget(max_nodes=max_nodes)
+    res = L.metric_dimension(G, budget)
+    got = (res.lower, res.upper, res.landmarks, res.exact, res.nodes)
+    assert got == pair_metric_dimension(G, oracle_budget), (G.name, max_nodes)
+    assert budget.spends == oracle_budget.spends
+    return res
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_search_matches_node_bound_oracle_on_random_graphs(data):
+    # n in {0, 1, 2} and disconnected graphs included
+    n = data.draw(st.integers(min_value=0, max_value=14))
+    pairs = list(combinations(range(n), 2))
+    edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    G = L.Graph(n, sorted(edges))
+    for cap in (None, 0, 1, 2, data.draw(st.integers(min_value=0, max_value=60))):
+        assert_search_matches_oracle(G, cap)
+
+
+def test_search_matches_node_bound_oracle_on_families():
+    for G in ([L.cycle_graph(k) for k in range(3, 10)]
+              + [L.petersen(), L.kneser_graph(2, 7), L.kneser_graph(3, 7),
+                 L.er_polarity_graph(4).graph]):
+        assert assert_search_matches_oracle(G, None).exact
+    assert not assert_search_matches_oracle(L.kneser_graph(3, 9), 2000).exact
+    assert not assert_search_matches_oracle(L.hoffman_singleton(), 20000).exact
+
+
+def test_time_capped_search_stops_near_its_cap():
+    G = L.hoffman_singleton()
+    start = time.monotonic()
+    res = L.metric_dimension(G, L.Budget(max_seconds=0.2))
+    assert time.monotonic() - start < 2
+    assert not res.exact and res.lower >= 6
     assert L.is_resolving(G, res.landmarks).verified
 
 
