@@ -338,12 +338,12 @@ GOLDEN = Path(__file__).parent / "golden"
     ("md_exact_er_4.json", ["md", "exact", "--graph", "er:4"]),
     ("md_exact_kneser_2_7.json", ["md", "exact", "--graph", "kneser:2:7"]),
     ("md_exact_kneser_3_7.json", ["md", "exact", "--graph", "kneser:3:7"]),
-    ("md_exact_er_5.json", ["md", "exact", "--graph", "er:5"]),
-    ("md_exact_kneser_2_8.json", ["md", "exact", "--graph", "kneser:2:8"]),
     ("md_greedy_kneser_3_10.json", ["md", "greedy", "--graph", "kneser:3:10"]),
     # capped: its lower bound of 6 is the distance-vector bound
     ("md_exact_hs_budget_nodes_20000.json",
      ["md", "exact", "--graph", "hs", "--budget-nodes", "20000"]),
+    ("md_exact_er_5.json", ["md", "exact", "--graph", "er:5"]),
+    ("md_exact_kneser_2_8.json", ["md", "exact", "--graph", "kneser:2:8"]),
 ])
 def test_md_artifacts_match_golden(capsys, golden, argv):
     code, out, _ = run(capsys, *argv)
