@@ -8,21 +8,21 @@ an honest "unknown"/interval answer instead of a silent wrong one.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
 
 
 class BudgetExceededError(Exception):
     """A solver ran out of its node or time budget."""
 
 
-@dataclass
 class Budget:
     """Mutable counter of search effort with optional node and time caps."""
 
-    max_nodes: int | None = None
-    max_seconds: float | None = None
-    nodes: int = 0
-    _started: float = field(default_factory=time.monotonic, repr=False)
+    def __init__(self, max_nodes: int | None = None,
+                 max_seconds: float | None = None, nodes: int = 0) -> None:
+        self.max_nodes = max_nodes
+        self.max_seconds = max_seconds
+        self.nodes = nodes
+        self._started = time.monotonic()
 
     def spend(self, amount: int = 1) -> None:
         self.nodes += amount

@@ -14,20 +14,13 @@ import sys
 from math import comb
 from pathlib import Path
 
-from .bounds import BoundContradictionError, bounds_report
 from .budget import Budget, BudgetExceededError
-from .fields import er_polarity_graph
-from .game import (ConstantStrategy, MooreStrategy, loc_decide,
-                   localization_number, verify_strategy)
 from .graphs import (Graph, artifact_hash, cycle_graph, graph_from_json_dict,
                      graph_hash, graph_to_dot, graph_to_json_dict, graph_girth,
                      hoffman_singleton, is_moore_diam2, kneser_graph, petersen)
-from .hypergraphs import (Hypergraph, berge_girth, certify_detectable,
-                          hypergraph_to_resolving, is_detectable,
-                          kneser_resolving_cover, resolving_to_hypergraph,
-                          search_girth5_gadget)
-from .resolving import (greedy_resolving, is_resolving, metric_dimension,
-                        moore_resolving, polarity_resolving)
+
+# Handlers import solver names from the package, which loads their modules on
+# first use; so rebinding the package's names (as perfbench does) reaches them.
 
 # Above this many vertices, constructions are emitted without the full
 # distance-vector re-verification; the limit guards the pair list that
@@ -69,6 +62,7 @@ def resolve_graph_spec(spec: str):
         _, k, n = s.split(":")
         return kneser_graph(int(k), int(n)), None
     if low.startswith("er:"):
+        from . import er_polarity_graph
         P = er_polarity_graph(int(s.split(":", 1)[1]))
         return P.graph, P
     path = Path(s)
@@ -92,7 +86,8 @@ def parse_vertex_set(G: Graph, text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _load_hypergraph(args) -> Hypergraph:
+def _load_hypergraph(args):
+    from . import Hypergraph
     if getattr(args, "hypergraph", None):
         data = json.loads(Path(args.hypergraph).read_text())
         return Hypergraph.from_json_dict(data)
@@ -149,6 +144,7 @@ def cmd_graph_export(args) -> int:
 
 
 def cmd_hyper_detect(args) -> int:
+    from . import is_detectable
     H = _load_hypergraph(args)
     res = is_detectable(H, args.kprime, budget=_budget(args))
     _emit({
@@ -162,6 +158,7 @@ def cmd_hyper_detect(args) -> int:
 
 
 def cmd_hyper_girth(args) -> int:
+    from . import berge_girth
     H = _load_hypergraph(args)
     _emit({"n": H.n, "edges": H.num_edges,
            "berge_girth": _girth_value(berge_girth(H))}, args.out)
@@ -169,6 +166,7 @@ def cmd_hyper_girth(args) -> int:
 
 
 def cmd_hyper_certify(args) -> int:
+    from . import certify_detectable
     H = _load_hypergraph(args)
     ok = certify_detectable(H, args.kprime)
     _emit({"n": H.n, "kprime": args.kprime, "certified": ok}, args.out)
@@ -176,6 +174,7 @@ def cmd_hyper_certify(args) -> int:
 
 
 def cmd_hyper_convert(args) -> int:
+    from . import hypergraph_to_resolving, resolving_to_hypergraph
     if args.direction == "to-resolving":
         H = _load_hypergraph(args)
         S = hypergraph_to_resolving(H, args.k, args.n)
@@ -192,6 +191,7 @@ def cmd_hyper_convert(args) -> int:
 
 
 def cmd_hyper_gadget(args) -> int:
+    from . import berge_girth, search_girth5_gadget
     res = search_girth5_gadget(
         args.k, max_vertices=args.max_vertices, regularity=args.regularity,
         budget=_budget(args))
@@ -211,6 +211,8 @@ def cmd_hyper_gadget(args) -> int:
 
 
 def cmd_hyper_cover(args) -> int:
+    from . import (Hypergraph, is_resolving, kneser_resolving_cover,
+                   search_girth5_gadget)
     if args.gadget:
         data = json.loads(Path(args.gadget).read_text())
         H = Hypergraph.from_json_dict(data)
@@ -241,6 +243,7 @@ def cmd_hyper_cover(args) -> int:
 
 
 def cmd_md_verify(args) -> int:
+    from . import is_resolving
     G, _ = resolve_graph_spec(args.graph)
     S = parse_vertex_set(G, args.set)
     cert = is_resolving(G, S)
@@ -251,6 +254,7 @@ def cmd_md_verify(args) -> int:
 
 
 def cmd_md_exact(args) -> int:
+    from . import metric_dimension
     G, _ = resolve_graph_spec(args.graph)
     res = metric_dimension(G, budget=_budget(args))
     _emit({
@@ -266,6 +270,7 @@ def cmd_md_exact(args) -> int:
 
 
 def cmd_md_greedy(args) -> int:
+    from . import greedy_resolving
     G, _ = resolve_graph_spec(args.graph)
     S = greedy_resolving(G)
     _emit({"graph_hash": graph_hash(G), "landmarks": list(S),
@@ -274,6 +279,7 @@ def cmd_md_greedy(args) -> int:
 
 
 def cmd_md_construct(args) -> int:
+    from . import is_resolving, moore_resolving, polarity_resolving
     G, P = resolve_graph_spec(args.graph)
     if P is not None:
         S = polarity_resolving(P)
@@ -298,6 +304,7 @@ def cmd_md_construct(args) -> int:
 
 
 def cmd_loc_decide(args) -> int:
+    from . import loc_decide
     G, _ = resolve_graph_spec(args.graph)
     d = loc_decide(G, args.cops, budget=_budget(args))
     _emit({
@@ -312,6 +319,7 @@ def cmd_loc_decide(args) -> int:
 
 
 def cmd_loc_number(args) -> int:
+    from . import localization_number
     G, _ = resolve_graph_spec(args.graph)
     res = localization_number(G, budget=_budget(args))
     _emit({
@@ -327,6 +335,7 @@ def cmd_loc_number(args) -> int:
 
 
 def cmd_loc_verify(args) -> int:
+    from . import ConstantStrategy, MooreStrategy, verify_strategy
     G, _ = resolve_graph_spec(args.graph)
     if args.strategy == "moore":
         strat = MooreStrategy(G)
@@ -348,13 +357,18 @@ def cmd_loc_verify(args) -> int:
 
 
 def cmd_bounds_report(args) -> int:
+    from . import BoundContradictionError, bounds_report
     computed = {}
     if args.beta is not None:
         computed["beta"] = _interval(args.beta)
     if args.zeta is not None:
         computed["zeta"] = _interval(args.zeta)
-    rep = bounds_report(args.family, k=args.k, n=args.n, q=args.q,
-                        gadget_m=args.gadget_m, computed=computed)
+    try:
+        rep = bounds_report(args.family, k=args.k, n=args.n, q=args.q,
+                            gadget_m=args.gadget_m, computed=computed)
+    except BoundContradictionError as exc:
+        print(f"bound contradiction: {exc}", file=sys.stderr)
+        return 1
     _emit(rep.to_json_dict(), args.out)
     return 0
 
@@ -485,9 +499,6 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except BoundContradictionError as exc:
-        print(f"bound contradiction: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -208,7 +208,8 @@ def artifact_hash(art: dict) -> str:
 def graph_to_dot(G: Graph) -> str:
     lines = ["graph G {"]
     for v in range(G.n):
-        lines.append(f'  v{v} [label="{G.label_of(v)}"];')
+        label = G.label_of(v).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  v{v} [label="{label}"];')
     for u, v in G.edges:
         lines.append(f"  v{u} -- v{v};")
     lines.append("}")

@@ -14,10 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .budget import Budget, BudgetExceededError
-from .fields import PolarityGraph
 from .graphs import Graph, bits, graph_hash, is_moore_diam2
+
+if TYPE_CHECKING:
+    from .fields import PolarityGraph
 
 DEFAULT_MD_BUDGET = 2 * 10**6  # branch-and-bound nodes
 

@@ -81,6 +81,17 @@ def test_graph_export_dot(capsys):
     assert "--" in out
 
 
+def test_graph_export_dot_escapes_labels(tmp_path, capsys):
+    path = tmp_path / "quoted.json"
+    path.write_text(json.dumps({"n": 2, "edges": [[0, 1]],
+                                "labels": ['a"b', "c\\d"]}))
+    code, out, _ = run(capsys, "graph", "export", "--graph", str(path),
+                       "--format", "dot")
+    assert code == 0
+    assert out == ('graph G {\n  v0 [label="a\\"b"];\n'
+                   '  v1 [label="c\\\\d"];\n  v0 -- v1;\n}\n')
+
+
 def test_md_verify_kneser_labels(capsys):
     code, art, _ = run_json(capsys, "md", "verify", "--graph", "kneser:2:6",
                             "--set", "12,16,23,34,45,56")
