@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from operator import itemgetter
 
 from .budget import Budget, BudgetExceededError
 from .graphs import Graph, automorphism_group, bits, graph_hash, is_moore_diam2
@@ -58,6 +57,53 @@ class _Memo(dict):
         return value
 
 
+def _target_table(autos, n: int) -> list[list[int]]:
+    """to[t][i]: the mask, over indices into autos, of the automorphisms
+    that send bit position i to bit position t (vertex v is bit n-1-v)."""
+    rows = [[bytearray(len(autos) + 7 >> 3) for _ in range(n)] for _ in range(n)]
+    for j, sig in enumerate(autos):
+        byte, bit = j >> 3, 1 << (j & 7)
+        for v, w in enumerate(sig):
+            rows[n - 1 - w][n - 1 - v][byte] |= bit
+    return [[int.from_bytes(r, "little") for r in row] for row in rows]
+
+
+def _max_image(to: list[list[int]], b: int) -> tuple[int, int]:
+    """The largest image of mask b under the group of table to, and the mask
+    of the elements that reach it (b's stabilizer when b is canonical). One
+    walk down the target bits: t joins the image iff an element still in C
+    sends a bit of b to t, and then C keeps only those elements."""
+    src = bits(b)
+    out, left, C = 0, len(src), -1  # C = -1: every element
+    for t in range(len(to) - 1, -1, -1):
+        row = to[t]
+        x = 0
+        for i in src:
+            x |= row[i]
+        x &= C
+        if x:
+            C = x
+            out |= 1 << t
+            left -= 1
+            if not left:
+                break
+    return out, C
+
+
+def _orbit_firsts(to, autos, B: int, placements):
+    """Indices of the placements that come first, in list order, in their
+    orbit under the stabilizer of canonical mask B (all, without autos)."""
+    stab = [autos[j] for j in bits(_max_image(to, B)[1])] if autos else ()
+    if len(stab) <= 1:
+        return range(len(placements))
+    seen, out = set(), []
+    for i, P in enumerate(placements):
+        if P not in seen:
+            out.append(i)
+            seen.update(tuple(sorted(sig[p] for p in P)) for sig in stab)
+    return out
+
+
 @dataclass(frozen=True)
 class LocDecision:
     result: str  # "cop-win" | "robber-win" | "unknown"
@@ -75,13 +121,16 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
     observation class a singleton or a class whose spread wins.
 
     Winning beliefs are downward closed, so placements of size exactly
-    min(k, n) lose no generality. With symmetry enabled, beliefs are
-    canonicalized under the group the graph's generators produce, and
-    placements are deduplicated under each belief's stabilizer; pruning only
-    removes isomorphic branches, so the outcome is schedule-independent.
+    min(k, n) lose no generality. With symmetry enabled, each belief is
+    replaced by its largest image under the group the graph's generators
+    produce (found with its stabilizer by ``_max_image``, one walk down a
+    table of group-element masks), and placements are deduplicated under
+    each belief's stabilizer; pruning only removes isomorphic branches, so
+    the outcome is schedule-independent.
 
     Internally beliefs and observation classes are int bitmasks (vertex v is
-    bit n-1-v); the returned strategy maps frozenset beliefs to placements.
+    bit n-1-v, so the lexicographically least vertex tuple is the largest
+    mask); the returned strategy maps frozenset beliefs to placements.
     """
     n = G.n
     if n == 0:
@@ -99,11 +148,6 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
         budget = Budget(max_nodes=DEFAULT_LOC_BUDGET)
     size = min(k, n)
 
-    # Vertex v is bit n-1-v, so the lexicographically least sorted vertex
-    # tuple among a belief's images is the largest mask.
-    def vertices(m: int) -> frozenset:
-        return frozenset(n - 1 - i for i in bits(m))
-
     closed = [0] * n  # closed neighbourhood, by bit position
     layers = []  # per vertex, its distance layers as masks
     for v in range(n):
@@ -114,13 +158,7 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
         layers.append(tuple(by_dist.values()))
 
     autos = automorphism_group(G) if use_symmetry else None
-    # per automorphism, the image bit of each bit position
-    images = [[1 << (n - 1 - sig[n - 1 - i]) for i in range(n)]
-              for sig in autos or ()]
-
-    def image_sums(b: int):
-        # every belief has at least two vertices, so itemgetter yields tuples
-        return map(sum, map(itemgetter(*bits(b)), images))
+    to = _target_table(autos, n) if autos else None
 
     all_placements = list(combinations(range(n), size))
 
@@ -134,20 +172,6 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
 
     atoms = _Memo(atoms_of)
 
-    def placements_for(B: int):
-        if not autos:
-            return range(len(all_placements))
-        stab = [sig for sig, img in zip(autos, image_sums(B)) if img == B]
-        if len(stab) <= 1:
-            return range(len(all_placements))
-        # the first placement of each stabilizer orbit in lexicographic order
-        seen, out = set(), []
-        for i, P in enumerate(all_placements):
-            if P not in seen:
-                out.append(i)
-                seen.update(tuple(sorted(sig[p] for p in P)) for sig in stab)
-        return out
-
     def successor(c: int) -> int:
         """The canonical spread of class c; 0 when c is already located."""
         if not c & (c - 1):
@@ -155,10 +179,10 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
         s = 0
         for i in bits(c):
             s |= closed[i]
-        return max(image_sums(s)) if autos else s
+        return _max_image(to, s)[0] if autos else s
 
     successors = _Memo(successor)
-    start = max(image_sums((1 << n) - 1)) if autos else (1 << n) - 1
+    start = (1 << n) - 1  # fixed by every automorphism
     # AND-OR reachability: per belief, each distinct set of successors a
     # placement leads to, with the first placement that does; every
     # successor must be winning (0 always is).
@@ -172,7 +196,7 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
                 continue
             opts: dict[frozenset, int] = {}
             charge = B.bit_count() * size
-            for i in placements_for(B):
+            for i in _orbit_firsts(to, autos, B, all_placements):
                 budget.spend(charge)
                 placements_evaluated += 1
                 nexts = frozenset(map(successors.__getitem__,
@@ -203,7 +227,8 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
                 queue.append(entry[1])
 
     if start in winning:
-        strategy = {vertices(B): all_placements[i] for B, i in winning.items()}
+        strategy = {frozenset(n - 1 - i for i in bits(B)): all_placements[j]
+                    for B, j in winning.items()}
         return LocDecision("cop-win", k, strategy=strategy,
                            beliefs=len(options), placements=placements_evaluated)
     return LocDecision("robber-win", k, beliefs=len(options),

@@ -287,8 +287,9 @@ def cycle_graph(n: int) -> Graph:
 
 
 # Kneser graphs up to this n carry generators of the S_n action. Above it the
-# group is too large: ``loc_decide`` maps every new belief through all n!
-# elements, which stops paying for itself.
+# group is too large: ``loc_decide`` enumerates all n! elements
+# (``automorphism_group``) and keeps a table of |V|^2 masks of n! bits each,
+# which for K(4,8) would be 40,320 tuples and 4,900 masks of 5 KB.
 _KNESER_AUTOMORPHISM_MAX_N = 7
 
 

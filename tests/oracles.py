@@ -5,7 +5,8 @@ module under test: exhaustive subset scans instead of branch and bound,
 BFS-per-vertex girth instead of edge-removal girth, a plain sweeping fixpoint
 instead of the symmetry-pruned attractor. Slow but obviously correct.
 The ``pair_*`` functions are earlier, plainer versions of the resolving
-kernels, kept as references that the faster ones must match exactly.
+kernels, and the ``image_*`` ones of the game solver's symmetry pruning,
+kept as references that the faster ones must match exactly.
 """
 
 import math
@@ -122,6 +123,28 @@ def sweep_loc_decide(G, k: int) -> str:
                 win.add(B)
                 changed = True
     return "cop-win" if start in win else "robber-win"
+
+
+def image_max_image(autos, n: int, b: int):
+    """The largest image of mask b (vertex v is bit n-1-v) under the listed
+    automorphisms, mapping b through every one of them, and the
+    automorphisms that produce it; for a largest mask, its stabilizer."""
+    src = [i for i in range(n) if b >> i & 1]
+    images = [sum(1 << (n - 1 - sig[n - 1 - i]) for i in src) for sig in autos]
+    best = max(images)
+    return best, [sig for sig, img in zip(autos, images) if img == best]
+
+
+def image_orbit_firsts(placements, stab) -> list[int]:
+    """Indices of the first placement of each orbit of the permutations in
+    stab, in list order: a placement is first unless an earlier one's images,
+    kept as sorted vertex tuples, already hold it."""
+    seen, out = set(), []
+    for i, P in enumerate(placements):
+        if P not in seen:
+            out.append(i)
+            seen.update(tuple(sorted(sig[p] for p in P)) for sig in stab)
+    return out
 
 
 def randomized_resolving(G, rng):

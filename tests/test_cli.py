@@ -360,3 +360,15 @@ def test_md_artifacts_match_golden(capsys, golden, argv):
     code, out, _ = run(capsys, *argv)
     assert code == (2 if "--budget-nodes" in argv else 0)
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("golden, argv", [
+    # S_7 on 21 vertices: the symmetry pruning's 5,040-element group
+    ("loc_decide_kneser_2_7_cops_4.json",
+     ["loc", "decide", "--graph", "kneser:2:7", "--cops", "4",
+      "--budget-nodes", "100000000"]),
+])
+def test_loc_artifacts_match_golden(capsys, golden, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
@@ -6,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locdim as L
+from locdim import game
 from locdim.cli import resolve_graph_spec
+from locdim.graphs import automorphism_group, bits
 
-from oracles import sweep_loc_decide
+from oracles import image_max_image, image_orbit_firsts, sweep_loc_decide
 
 
 def test_spread_is_union_of_closed_neighborhoods():
@@ -82,6 +86,8 @@ PINNED_DECISIONS = [
     ("kneser:2:6", 3, "cop-win", 5, 235),
     ("er:3", 2, "robber-win", 329, 25662),
     ("er:3", 3, "cop-win", 275, 78650),
+    ("kneser:2:7", 3, "robber-win", 6, 387),
+    ("kneser:2:7", 4, "cop-win", 5, 1017),
 ]
 
 
@@ -90,6 +96,54 @@ def test_loc_decide_pinned_counts(spec, k, result, beliefs, placements):
     G = resolve_graph_spec(spec)[0]
     d = L.loc_decide(G, k, budget=L.Budget(max_nodes=10**8))
     assert (d.result, d.beliefs, d.placements) == (result, beliefs, placements)
+
+
+# sha256 of the sorted (belief, placement) items of the winning strategy, as
+# computed at commit 164cd7f, when beliefs were canonicalized by mapping each
+# one through every automorphism
+STRATEGY_DIGESTS = [
+    ("kneser:2:6", 3,
+     "7092ccbb32003093e010ad376e3b4d944a9d0fae86ba7a6e5221adb2bc57e8c0"),
+    ("kneser:2:7", 4,
+     "fe02f688ec05f759969ee28aff6b3070912d4fc7a020a77bd297f7f5a1c07e71"),
+]
+
+
+@pytest.mark.parametrize("spec,k,digest", STRATEGY_DIGESTS)
+def test_loc_decide_strategy_digest(spec, k, digest):
+    G = resolve_graph_spec(spec)[0]
+    d = L.loc_decide(G, k, budget=L.Budget(max_nodes=10**8))
+    items = sorted((tuple(sorted(B)), P) for B, P in d.strategy.items())
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
+
+
+SYMMETRIC_SPECS = [f"cycle:{n}" for n in range(3, 13)] + [
+    "petersen", "kneser:2:6", "kneser:2:7"]
+
+
+@lru_cache(maxsize=None)
+def symmetry_of(spec: str):
+    G = resolve_graph_spec(spec)[0]
+    autos = automorphism_group(G)
+    return G.n, autos, game._target_table(autos, G.n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_table_kernel_matches_per_element_images(data):
+    n, autos, to = symmetry_of(data.draw(st.sampled_from(SYMMETRIC_SPECS)))
+    b = data.draw(st.integers(min_value=1, max_value=(1 << n) - 1))
+    best, reach = image_max_image(autos, n, b)
+    out, C = game._max_image(to, b)
+    assert out == best
+    assert [autos[j] for j in bits(C)] == reach
+    # a canonical belief: the elements reaching it are its stabilizer
+    stab = image_max_image(autos, n, best)[1]
+    assert [autos[j] for j in bits(game._max_image(to, best)[1])] == stab
+    for k in (1, 2, 3):
+        placements = list(combinations(range(n), k))
+        assert list(game._orbit_firsts(to, autos, best, placements)) == \
+            image_orbit_firsts(placements, stab)
 
 
 class SolverStrategy:
@@ -119,12 +173,16 @@ def test_verifier_replays_whole_solver_strategy(spec, k):
 
 
 def test_loc_decide_symmetry_pruning_changes_nothing():
-    for G in [L.cycle_graph(n) for n in range(4, 10)] + [L.petersen()]:
-        for k in (1, 2, 3):
-            a = L.loc_decide(G, k, use_symmetry=True)
-            b = L.loc_decide(G, k, use_symmetry=False)
-            assert a.result == b.result
-            assert a.placements <= b.placements
+    cases = [(L.cycle_graph(n), k) for n in range(4, 10) for k in (1, 2, 3)]
+    cases += [(L.petersen(), k) for k in (1, 2, 3)]
+    cases += [(L.kneser_graph(2, 6), k) for k in (2, 3)]  # S_6, 720 elements
+    for G, k in cases:
+        # K(2,6) has 15 vertices, above DEFAULT_MAX_N, so it needs a budget
+        budget = L.Budget(max_nodes=10**8) if G.n > game.DEFAULT_MAX_N else None
+        a = L.loc_decide(G, k, budget=budget, use_symmetry=True)
+        b = L.loc_decide(G, k, budget=budget, use_symmetry=False)
+        assert a.result == b.result
+        assert a.placements <= b.placements
 
 
 def test_loc_decide_monotone_in_cops():
