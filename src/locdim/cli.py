@@ -11,29 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from math import comb
 from pathlib import Path
 
 from .budget import Budget, BudgetExceededError
-from .graphs import (Graph, artifact_hash, cycle_graph, graph_from_json_dict,
-                     graph_hash, graph_to_dot, graph_to_json_dict, graph_girth,
+from .graphs import (Graph, cycle_graph, graph_from_json_dict, graph_hash,
+                     graph_to_dot, graph_to_json_dict, graph_girth,
                      hoffman_singleton, is_moore_diam2, kneser_graph, petersen)
 
 # Handlers import solver names from the package, which loads their modules on
 # first use; so rebinding the package's names (as perfbench does) reaches them.
 
-# Above this many vertices, constructions are emitted without the full
-# distance-vector re-verification; the limit guards the pair list that
-# kneser_graph generates and graph_hash serializes (K(2,100) has 11.7M edges).
-VERIFY_VERTEX_LIMIT = 2500
-
 
 def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, indent=2) + "\n"
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _emit_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -122,7 +112,7 @@ def _girth_value(g):
 def cmd_graph_build(args) -> int:
     G, _ = resolve_graph_spec(args.graph)
     art = graph_to_json_dict(G)
-    art["hash"] = artifact_hash(art)
+    art["hash"] = graph_hash(G)
     if args.stats:
         d = G.diameter()
         art["diameter"] = d if isinstance(d, int) else "infinity"
@@ -133,13 +123,10 @@ def cmd_graph_build(args) -> int:
 
 
 def cmd_graph_export(args) -> int:
+    if args.format == "json":  # the artifact of ``graph build``
+        return cmd_graph_build(args)
     G, _ = resolve_graph_spec(args.graph)
-    if args.format == "dot":
-        _emit_text(graph_to_dot(G), args.out)
-    else:
-        art = graph_to_json_dict(G)
-        art["hash"] = artifact_hash(art)
-        _emit(art, args.out)
+    _emit_text(graph_to_dot(G), args.out)
     return 0
 
 
@@ -228,18 +215,11 @@ def cmd_hyper_cover(args) -> int:
                 "vertices; raise --max-vertices or supply --gadget")
         H = res.gadget
     S = kneser_resolving_cover(args.k, args.n, H)
-    art = {"k": args.k, "n": args.n, "gadget_points": H.n,
-           "landmarks": list(S), "size": len(S), "verified": None}
-    if comb(args.n, args.k) <= VERIFY_VERTEX_LIMIT:
-        G = kneser_graph(args.k, args.n)
-        cert = is_resolving(G, S)
-        art["verified"] = cert.verified
-        art["graph_hash"] = cert.graph_hash
-        if not cert.verified:
-            _emit(art, args.out)
-            return 1
-    _emit(art, args.out)
-    return 0
+    cert = is_resolving(kneser_graph(args.k, args.n), S)
+    _emit({"k": args.k, "n": args.n, "gadget_points": H.n,
+           "landmarks": list(S), "size": len(S), "verified": cert.verified,
+           "graph_hash": cert.graph_hash}, args.out)
+    return 0 if cert.verified else 1
 
 
 def cmd_md_verify(args) -> int:
@@ -400,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     g = graph_sub.add_parser("export", parents=[common])
     g.add_argument("--graph", required=True)
     g.add_argument("--format", choices=["json", "dot"], default="json")
-    g.set_defaults(func=cmd_graph_export)
+    g.set_defaults(func=cmd_graph_export, stats=False)
 
     p_hyper = sub.add_parser("hyper", help="hypergraph detection and gadgets")
     hyper_sub = p_hyper.add_subparsers(dest="cmd", required=True)

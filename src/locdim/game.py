@@ -114,19 +114,18 @@ class LocDecision:
     reason: str | None = None
 
 
-def loc_decide(G: Graph, k: int, budget: Budget | None = None,
-               use_symmetry: bool = True) -> LocDecision:
+def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
     """Least-fixed-point decision of the k-cop localization game from the
     all-vertices belief. A belief wins iff some placement makes every
     observation class a singleton or a class whose spread wins.
 
     Winning beliefs are downward closed, so placements of size exactly
-    min(k, n) lose no generality. With symmetry enabled, each belief is
-    replaced by its largest image under the group the graph's generators
-    produce (found with its stabilizer by ``_max_image``, one walk down a
-    table of group-element masks), and placements are deduplicated under
-    each belief's stabilizer; pruning only removes isomorphic branches, so
-    the outcome is schedule-independent.
+    min(k, n) lose no generality. Symmetry comes from G's generators: when
+    it carries some, each belief is replaced by its largest image under the
+    group they produce (found with its stabilizer by ``_max_image``, one
+    walk down a table of group-element masks), and placements are
+    deduplicated under each belief's stabilizer; pruning only removes
+    isomorphic branches, so the outcome is schedule-independent.
 
     Internally beliefs and observation classes are int bitmasks (vertex v is
     bit n-1-v, so the lexicographically least vertex tuple is the largest
@@ -157,7 +156,7 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None,
         closed[n - 1 - v] = by_dist[0] | by_dist.get(1, 0)
         layers.append(tuple(by_dist.values()))
 
-    autos = automorphism_group(G) if use_symmetry else None
+    autos = automorphism_group(G)
     to = _target_table(autos, n) if autos else None
 
     all_placements = list(combinations(range(n), size))

@@ -4,15 +4,17 @@ Vertices are always the dense integers 0..n-1. Families with natural vertex
 names (k-subsets for Kneser graphs, pentagon/pentagram coordinates for the
 Hoffman-Singleton graph) carry them in ``labels``; adjacency logic never
 looks at labels, so one engine serves every family. A graph stores its masks
-and symmetry generators; edges, distances and the group are derived.
+and symmetry generators; edges, distances and the group are derived. Kneser
+graphs are built and hashed straight from the masks, never as an edge list.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
-import json
 import math
+from functools import reduce
+from itertools import combinations, compress
+from operator import or_
 
 UNREACHABLE = -1  # dist() sentinel for disconnected pairs
 
@@ -38,25 +40,24 @@ class Graph:
 
     __slots__ = ("n", "labels", "name", "generators", "adj", "_rows")
 
-    def __init__(
-        self,
-        n: int,
-        edges,
-        labels=None,
-        name: str | None = None,
-        generators=None,
-    ) -> None:
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+    def __init__(self, n: int, edges, labels=None, name: str | None = None,
+                 generators=None) -> None:
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
         adj = [0] * n
         for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) outside 0..{n - 1}")
+            if not (type(u) is type(v) is int and 0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u!r},{v!r}) outside 0..{n - 1}")
             if u == v:
                 raise ValueError(f"loop at vertex {u} not allowed")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.n = n
+        self._init_masks(adj, labels, name, generators)
+
+    def _init_masks(self, adj, labels, name, generators) -> None:
+        """Adopt the adjacency masks ``adj`` (taken as symmetric and
+        loop-free), then check the labels and the generators."""
+        n = self.n = len(adj)
         self.adj = tuple(adj)
         if labels is not None:
             labels = tuple(str(x) for x in labels)
@@ -76,8 +77,8 @@ class Graph:
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Every edge once as (u, v) with u < v, in lexicographic order."""
-        return tuple((u, v) for u, m in enumerate(self.adj)
-                     for v in bits(m >> (u + 1) << (u + 1)))
+        return tuple((u, v) for u, row in _upper_rows(self, range(self.n))
+                     for v in row)
 
     # -- distance and neighborhood views -------------------------------------
 
@@ -188,21 +189,39 @@ def graph_to_json_dict(G: Graph) -> dict:
 
 
 def graph_from_json_dict(data: dict, name: str | None = None) -> Graph:
-    return Graph(data["n"], [tuple(e) for e in data["edges"]],
-                 labels=data.get("labels"), name=name)
+    if not (isinstance(data, dict) and isinstance(data.get("edges"), list)
+            and all(isinstance(e, list) for e in data["edges"])
+            and isinstance(data.get("labels") or [], list)):
+        raise ValueError("a graph artifact is an object with n, a list of "
+                         "[u, v] edges and optional labels")
+    return Graph(data["n"], data["edges"], labels=data.get("labels"), name=name)
+
+
+_DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits as bytes 0, 1
+
+
+def _upper_rows(G: Graph, names):
+    """(u, the names ``names[v]`` of u's neighbours v > u, in increasing
+    order) per vertex u. A row is read from its mask's reversed ``bin()``
+    string, linear in the mask's width (``bits`` is quadratic there)."""
+    for u, m in enumerate(G.adj):
+        flags = bin(m >> (u + 1))[:1:-1].encode("ascii").translate(_DIGIT_FLAGS)
+        yield u, compress(names[u + 1:], flags)
 
 
 def graph_hash(G: Graph) -> str:
-    """Structural hash (vertex count + canonical edge list); labels excluded."""
-    return artifact_hash(graph_to_json_dict(G))
-
-
-def artifact_hash(art: dict) -> str:
-    """``graph_hash`` of the graph whose ``graph_to_json_dict`` is ``art``,
-    read from the artifact's own ``n`` and ``edges``."""
-    payload = json.dumps({"n": art["n"], "edges": art["edges"]},
-                         sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode("ascii")).hexdigest()
+    """Structural hash: the sha256 of the compact sorted-key JSON
+    ``{"edges":[[u,v],...],"n":N}``, with the edges as in ``G.edges``;
+    labels are excluded. The bytes are fed one vertex row at a time,
+    straight from the masks, so the edge list is never built."""
+    h = hashlib.sha256(b'{"edges":[')
+    sep = ""
+    for u, row in _upper_rows(G, list(map(str, range(G.n)))):
+        if text := f"],[{u},".join(row):
+            h.update(f"{sep}[{u},{text}]".encode("ascii"))
+            sep = ","
+    h.update(f'],"n":{G.n}}}'.encode("ascii"))
+    return h.hexdigest()
 
 
 def graph_to_dot(G: Graph) -> str:
@@ -295,32 +314,34 @@ _KNESER_AUTOMORPHISM_MAX_N = 7
 
 def kneser_vertex_subsets(k: int, n: int) -> list[tuple[int, ...]]:
     """The vertex labels of K(k,n) as subsets, in vertex-index order."""
-    return list(itertools.combinations(range(1, n + 1), k))
+    return list(combinations(range(1, n + 1), k))
 
 
 def kneser_graph(k: int, n: int) -> Graph:
     """Vertices are the k-subsets of {1..n} in lexicographic order; edges join
-    disjoint subsets."""
+    disjoint subsets. With holders[e] the mask of the subsets that contain e,
+    S is joined to every vertex outside the holders of its elements."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
     if k >= n:
         raise ValueError(f"need k < n, got k={k}, n={n}")
     subsets = kneser_vertex_subsets(k, n)
-    index = {s: i for i, s in enumerate(subsets)}
-    edges = []
-    for i, a in enumerate(subsets):
-        rest = [e for e in range(1, n + 1) if e not in a]
-        edges.extend((i, j) for b in itertools.combinations(rest, k)
-                     if (j := index[b]) > i)
+    holders = [0] * (n + 1)
+    for i, s in enumerate(subsets):
+        for e in s:
+            holders[e] |= 1 << i
+    full = (1 << len(subsets)) - 1
+    adj = [full ^ reduce(or_, [holders[e] for e in s]) for s in subsets]
     # Single digits concatenate unambiguously; beyond 9 use a separator.
     sep = "" if n <= 9 else "-"
     labels = [sep.join(map(str, s)) for s in subsets]
     # the transposition (1 2) and the n-cycle (1 2 ... n) generate S_n
     perms = ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1))
-    gens = [tuple(index[tuple(sorted(p[e - 1] for e in s))] for s in subsets)
+    gens = [tuple(kneser_vertex_index([p[e - 1] for e in s], k, n) for s in subsets)
             for p in perms] if n <= _KNESER_AUTOMORPHISM_MAX_N else None
-    return Graph(len(subsets), edges, labels=labels, name=f"K({k},{n})",
-                 generators=gens)
+    G = Graph.__new__(Graph)
+    G._init_masks(adj, labels, f"K({k},{n})", gens)
+    return G
 
 
 def kneser_vertex_index(subset, k: int, n: int) -> int:

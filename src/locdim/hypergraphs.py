@@ -34,18 +34,18 @@ class Hypergraph:
     __slots__ = ("n", "edges")
 
     def __init__(self, n: int, edges) -> None:
-        if n < 0:
-            raise ValueError("vertex count must be non-negative")
+        if type(n) is not int or n < 0:
+            raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
         clean = []
         for e in edges:
             seq = tuple(e)
-            t = tuple(sorted(set(seq)))
-            if not t:
+            if not seq:
                 raise ValueError("hyperedges must be nonempty")
+            if not all(type(x) is int and 1 <= x <= n for x in seq):
+                raise ValueError(f"hyperedge {seq} outside 1..{n}")
+            t = tuple(sorted(set(seq)))
             if len(t) != len(seq):
                 raise ValueError(f"hyperedge {seq} repeats a vertex")
-            if t[0] < 1 or t[-1] > n:
-                raise ValueError(f"hyperedge {t} outside 1..{n}")
             clean.append(t)
         self.n = n
         self.edges = tuple(clean)

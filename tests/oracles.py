@@ -7,8 +7,12 @@ instead of the symmetry-pruned attractor. Slow but obviously correct.
 The ``pair_*`` functions are earlier, plainer versions of the resolving
 kernels, and the ``image_*`` ones of the game solver's symmetry pruning,
 kept as references that the faster ones must match exactly.
+``json_graph_hash`` is the structural hash as first defined: the whole
+edge list serialized at once.
 """
 
+import hashlib
+import json
 import math
 from itertools import combinations
 
@@ -20,6 +24,15 @@ def to_nx(G) -> nx.Graph:
     H.add_nodes_from(range(G.n))
     H.add_edges_from(G.edges)
     return H
+
+
+def json_graph_hash(n: int, edges) -> str:
+    """sha256 of the compact sorted-key JSON of n and the sorted, deduplicated
+    edge list, each edge written [min, max]."""
+    canon = sorted({(min(u, v), max(u, v)) for u, v in edges})
+    payload = json.dumps({"n": n, "edges": [list(e) for e in canon]},
+                         sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
 def exhaustive_metric_dimension(G):

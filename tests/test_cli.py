@@ -227,6 +227,15 @@ def test_hyper_cover_verified(capsys):
     assert art["verified"] is True
 
 
+def test_hyper_cover_verified_above_the_old_size_limit(capsys):
+    # K(2,72) has 2,556 vertices, the first k = 2 cover once left unverified
+    code, art, _ = run_json(capsys, "hyper", "cover", "--k", "2", "--n", "72")
+    assert code == 0
+    assert art["verified"] is True
+    assert art["graph_hash"] == (
+        "26c212906d91bd6f4b11417ee9b859733936153aea96b7fbd1831fa08e640f28")
+
+
 def test_gadget_commands_write_no_files(tmp_path, monkeypatch, capsys):
     home, cache = tmp_path / "home", tmp_path / "cache"
     home.mkdir()
@@ -319,6 +328,14 @@ def test_invalid_inputs_exit_3(tmp_path, capsys):
                "--kprime", "1")[0] == 3  # inline edges without --n
     assert run(capsys, "hyper", "convert", "--direction", "to-hypergraph",
                "--k", "2", "--n", "6")[0] == 3  # missing --set
+    # malformed graph artifacts: wrong types are refused, not crashed on
+    for body in ('{"n": "5", "edges": []}', '{"n": 2.0, "edges": []}',
+                 '{"n": 3, "edges": [[0, 1.5]]}', '{"n": 3, "edges": [["0", "1"]]}',
+                 '{"n": 3, "edges": null}', '[1, 2]', '{"n": 3, "edges": [[0, true]]}'):
+        bad.write_text(body)
+        assert run(capsys, "graph", "build", "--graph", str(bad))[0] == 3, body
+    assert run(capsys, "hyper", "girth", "--n", "3",
+               "--edges", '[[1, "a"]]')[0] == 3
 
 
 def test_argparse_errors_exit_3(capsys):

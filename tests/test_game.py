@@ -164,8 +164,7 @@ class SolverStrategy:
                                      ("er:2", 2), ("er:3", 3)])
 def test_verifier_replays_whole_solver_strategy(spec, k):
     G = resolve_graph_spec(spec)[0]
-    d = L.loc_decide(G, k, budget=L.Budget(max_nodes=10**8),
-                     use_symmetry=False)
+    d = L.loc_decide(L.Graph(G.n, G.edges), k, budget=L.Budget(max_nodes=10**8))
     assert d.result == "cop-win"
     report = L.verify_strategy(G, SolverStrategy(G, d.strategy), k,
                                max_rounds=len(d.strategy) + 1)
@@ -179,8 +178,8 @@ def test_loc_decide_symmetry_pruning_changes_nothing():
     for G, k in cases:
         # K(2,6) has 15 vertices, above DEFAULT_MAX_N, so it needs a budget
         budget = L.Budget(max_nodes=10**8) if G.n > game.DEFAULT_MAX_N else None
-        a = L.loc_decide(G, k, budget=budget, use_symmetry=True)
-        b = L.loc_decide(G, k, budget=budget, use_symmetry=False)
+        a = L.loc_decide(G, k, budget=budget)
+        b = L.loc_decide(L.Graph(G.n, G.edges), k, budget=budget)
         assert a.result == b.result
         assert a.placements <= b.placements
 

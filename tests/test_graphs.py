@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 import locdim as L
 from locdim.graphs import UNREACHABLE
 
-from oracles import bfs_girth, to_nx
+from oracles import bfs_girth, json_graph_hash, to_nx
 
 
 def corpus():
@@ -172,6 +172,28 @@ def test_json_round_trip_and_hash():
     assert L.graph_hash(A) == L.graph_hash(B)
     C = L.Graph(3, [(0, 1), (0, 2)])
     assert L.graph_hash(A) != L.graph_hash(C)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_graph_hash_matches_json_route_on_random_graphs(data):
+    # isolated vertices included; edges may come reversed or twice
+    n = data.draw(st.integers(min_value=0, max_value=40))
+    pairs = list(combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs))) if pairs else []
+    edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]
+    edges += data.draw(st.lists(st.sampled_from(edges))) if edges else []
+    assert L.graph_hash(L.Graph(n, edges)) == json_graph_hash(n, edges)
+
+
+def test_graph_hash_matches_json_route_on_families():
+    families = [L.hoffman_singleton(), L.kneser_graph(4, 12)]
+    families += [L.er_polarity_graph(q).graph for q in (2, 3, 4, 5, 7)]
+    families += [L.cycle_graph(n) for n in (3, 4, 5, 9, 64)]
+    for G in families:
+        edges = [(u, v) for u in range(G.n) for v in range(G.n)
+                 if G.adjacent(u, v)]
+        assert L.graph_hash(G) == json_graph_hash(G.n, edges), G
 
 
 def test_dot_export():
