@@ -84,7 +84,8 @@ def _load_hypergraph(args):
     if getattr(args, "edges", None) is not None:
         if args.n is None:
             raise ValueError("--edges needs --n")
-        return Hypergraph(args.n, json.loads(args.edges))
+        return Hypergraph.from_json_dict({"n": args.n,
+                                          "edges": json.loads(args.edges)})
     raise ValueError("supply --hypergraph FILE or --n N --edges JSON")
 
 

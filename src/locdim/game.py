@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .budget import Budget, BudgetExceededError
-from .graphs import Graph, automorphism_group, bits, graph_hash, is_moore_diam2
+from .graphs import (UNREACHABLE, Graph, automorphism_group, bits, graph_hash,
+                     is_moore_diam2)
 from .resolving import greedy_resolving
 
 # Budget units: |belief| x cops for every placement evaluated.
@@ -35,14 +36,15 @@ def spread(G: Graph, B) -> frozenset:
 
 def probe_partition(G: Graph, P, B) -> dict[tuple[int, ...], frozenset]:
     """Partition of the belief by the distance vector each candidate would
-    produce against the placement."""
-    placement = tuple(P)
-    parts: dict[tuple[int, ...], set] = {}
-    rows = [G.distance_row(p) for p in placement]
-    for v in B:
-        vec = tuple(row[v] for row in rows)
-        parts.setdefault(vec, set()).add(v)
-    return {vec: frozenset(vs) for vec, vs in parts.items()}
+    produce against the placement, UNREACHABLE (-1) where a cop does not
+    reach it: B is split by each cop's distance layers in turn."""
+    cells = {(): sum(1 << v for v in frozenset(B))}
+    for p in P:
+        *layers, unreached = G.distance_layers(p)
+        keyed = [*enumerate(layers), (UNREACHABLE, unreached)]
+        cells = {vec + (d,): c & m for vec, c in cells.items()
+                 for d, m in keyed if c & m}
+    return {vec: frozenset(bits(c)) for vec, c in cells.items() if c}
 
 
 class _Memo(dict):
@@ -147,14 +149,14 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
         budget = Budget(max_nodes=DEFAULT_LOC_BUDGET)
     size = min(k, n)
 
-    closed = [0] * n  # closed neighbourhood, by bit position
-    layers = []  # per vertex, its distance layers as masks
-    for v in range(n):
-        by_dist: dict[int, int] = {}
-        for w, d in enumerate(G.distance_row(v)):
-            by_dist[d] = by_dist.get(d, 0) | 1 << (n - 1 - w)
-        closed[n - 1 - v] = by_dist[0] | by_dist.get(1, 0)
-        layers.append(tuple(by_dist.values()))
+    def flip(m: int) -> int:
+        """Mask m with each vertex v moved from bit v to bit n-1-v."""
+        return int(f"{m:0{n}b}"[::-1], 2)
+
+    # by bit position, the closed neighbourhood
+    closed = [flip(G.adj[v] | 1 << v) for v in reversed(range(n))]
+    # per vertex, its non-empty distance layers, by distance
+    layers = [list(filter(None, map(flip, G.distance_layers(v)))) for v in range(n)]
 
     autos = automorphism_group(G)
     to = _target_table(autos, n) if autos else None

@@ -4,8 +4,10 @@ Vertices are always the dense integers 0..n-1. Families with natural vertex
 names (k-subsets for Kneser graphs, pentagon/pentagram coordinates for the
 Hoffman-Singleton graph) carry them in ``labels``; adjacency logic never
 looks at labels, so one engine serves every family. A graph stores its masks
-and symmetry generators; edges, distances and the group are derived. Kneser
-graphs are built and hashed straight from the masks, never as an edge list.
+and symmetry generators; edges, the group and every distance are derived,
+the distances from one form: ``Graph.distance_layers``, a partition of V by
+distance from a vertex. Kneser graphs are built and hashed straight from the
+masks, never as an edge list.
 """
 
 from __future__ import annotations
@@ -33,12 +35,11 @@ class Graph:
     """Simple undirected graph stored as adjacency bitmasks.
 
     Bit v of ``adj[u]`` is set iff uv is an edge; ``generators`` are checked
-    automorphisms. ``edges`` is derived from the masks; ``distance_layers(u)``
-    runs a bitset BFS from u, and the first ``distance_row(u)`` call keeps
-    its result as a row.
+    automorphisms. ``edges`` is derived from the masks, and every distance
+    from ``distance_layers(u)``, a bitset BFS from u; nothing else is kept.
     """
 
-    __slots__ = ("n", "labels", "name", "generators", "adj", "_rows")
+    __slots__ = ("n", "labels", "name", "generators", "adj")
 
     def __init__(self, n: int, edges, labels=None, name: str | None = None,
                  generators=None) -> None:
@@ -72,7 +73,6 @@ class Graph:
             if any(sum(1 << sig[v] for v in bits(m)) != adj[sig[u]]
                    for u, m in enumerate(adj)):
                 raise ValueError(f"generator {sig} is not an automorphism")
-        self._rows: list[tuple[int, ...] | None] = [None] * n
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -83,11 +83,18 @@ class Graph:
     # -- distance and neighborhood views -------------------------------------
 
     def dist(self, u: int, v: int) -> int:
-        return self.distance_row(u)[v]
+        """The distance from u to v, UNREACHABLE when no path joins them;
+        read from ``distance_layers(u)`` on each call."""
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} outside 0..{self.n - 1}")
+        *layers, _ = self.distance_layers(u)
+        return next((d for d, m in enumerate(layers) if m >> v & 1), UNREACHABLE)
 
     def distance_layers(self, u: int) -> list[int]:
-        """Masks of the vertices at distance 0, 1, 2, ... from u: a bitset
-        BFS over ``adj`` that stops once every vertex is reached."""
+        """A partition of V by distance from u: the masks of the vertices at
+        distance 0, 1, ..., ecc(u), then the mask of the vertices u does not
+        reach (0 when G is connected). A bitset BFS over ``adj`` that stops
+        once every vertex is reached."""
         adj, full = self.adj, (1 << self.n) - 1
         seen = layer = 1 << u
         layers = []
@@ -100,17 +107,8 @@ class Graph:
                 reached |= adj[v]
             layer = reached & ~seen
             seen |= layer
+        layers.append(full ^ seen)
         return layers
-
-    def distance_row(self, u: int) -> tuple[int, ...]:
-        row = self._rows[u]
-        if row is None:
-            dist = [UNREACHABLE] * self.n
-            for d, layer in enumerate(self.distance_layers(u)):
-                for v in bits(layer):
-                    dist[v] = d
-            row = self._rows[u] = tuple(dist)
-        return row
 
     def adjacent(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -125,18 +123,17 @@ class Graph:
         return tuple(m.bit_count() for m in self.adj)
 
     def is_connected(self) -> bool:
-        return self.n <= 1 or UNREACHABLE not in self.distance_row(0)
+        return self.n == 0 or not self.distance_layers(0)[-1]
 
     def diameter(self) -> int | float:
         """Largest finite distance; math.inf when disconnected.
 
         Read from ``distance_layers``, which stops once V is covered: on a
-        diameter-2 graph each vertex costs one OR per neighbour, and no
-        distance row is kept beyond vertex 0's.
+        diameter-2 graph each vertex costs one OR per neighbour.
         """
         if not self.is_connected():
             return math.inf
-        return max((len(self.distance_layers(u)) for u in range(self.n)), default=1) - 1
+        return max((len(self.distance_layers(u)) for u in range(self.n)), default=2) - 2
 
     def regularity(self) -> int | None:
         """The common degree when the graph is regular, else None."""

@@ -38,6 +38,8 @@ class Hypergraph:
             raise ValueError(f"vertex count must be a non-negative int, got {n!r}")
         clean = []
         for e in edges:
+            if not isinstance(e, (list, tuple)):
+                raise ValueError(f"hyperedge {e!r} is not a list of vertices")
             seq = tuple(e)
             if not seq:
                 raise ValueError("hyperedges must be nonempty")
@@ -97,7 +99,9 @@ class Hypergraph:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Hypergraph":
-        return cls(data["n"], [tuple(e) for e in data["edges"]])
+        if not (isinstance(data, dict) and isinstance(data.get("edges"), list)):
+            raise ValueError("a hypergraph is an object with n and a list of edges")
+        return cls(data.get("n"), data["edges"])
 
     def __repr__(self) -> str:
         return f"<hypergraph: {self.n} vertices, {len(self.edges)} edges>"
@@ -327,12 +331,11 @@ def search_girth5_gadget(
 def _gadget_backtrack(k: int, r: int, m: int, budget: Budget):
     """Depth-first construction over [m]; every edge is added at the least
     vertex still short of degree r. Girth is maintained incrementally: a new
-    edge may not repeat a covered pair, and its internal pairs must be at
-    Berge distance >= 4 in the section graph built so far."""
+    edge's internal pairs must be at Berge distance >= 4 in the section graph
+    built so far, where a pair some edge already covers is adjacent."""
     target_edges = m * r // k
     deg = [0] * (m + 1)
     section: dict[int, set[int]] = {v: set() for v in range(1, m + 1)}
-    covered: set[tuple[int, int]] = set()
     edges: list[tuple[int, ...]] = []
 
     def within_three(a: int, b: int) -> bool:
@@ -354,19 +357,11 @@ def _gadget_backtrack(k: int, r: int, m: int, budget: Budget):
         return False
 
     def candidate_ok(edge: tuple[int, ...]) -> bool:
-        pairs = list(combinations(edge, 2))
-        for a, b in pairs:
-            if (a, b) in covered:
-                return False
-        for a, b in pairs:
-            if within_three(a, b):
-                return False
-        return True
+        return not any(within_three(a, b) for a, b in combinations(edge, 2))
 
     def apply(edge: tuple[int, ...]):
         edges.append(edge)
         for a, b in combinations(edge, 2):
-            covered.add((a, b))
             section[a].add(b)
             section[b].add(a)
         for v in edge:
@@ -375,7 +370,6 @@ def _gadget_backtrack(k: int, r: int, m: int, budget: Budget):
     def unapply(edge: tuple[int, ...]):
         edges.pop()
         for a, b in combinations(edge, 2):
-            covered.discard((a, b))
             section[a].discard(b)
             section[b].discard(a)
         for v in edge:

@@ -1,13 +1,14 @@
 """Resolving-set verification, exact metric dimension, and the constructive
 resolving sets for diameter-2 Moore graphs and polarity graphs.
 
-Both solvers start from each vertex's distance layers as bitmasks. The greedy
-refines the partition of V by distance vector; the branch and bound covers
-vertex pairs with one pair-bit mask per landmark, built a block of pairs at
-a time from those layers. A child's uncovered pairs are a subset of its
-parent's, so the counts a node takes for its landmarks bound those at every
-child from above, and children are pruned against them before they are
-entered.
+Every kernel here reads distances as ``Graph.distance_layers``: per vertex,
+a partition of V into bitmasks by distance. The certificate check and the
+greedy refine the partition of V by distance vector; the branch and bound
+covers vertex pairs with one pair-bit mask per landmark, built a block of
+pairs at a time from those layers. A child's uncovered pairs are a subset
+of its parent's, so the counts a node takes for its landmarks bound those at
+every child from above, and children are pruned against them before they
+are entered.
 """
 
 from __future__ import annotations
@@ -45,34 +46,32 @@ class ResolvingCertificate:
         return out
 
 
+def _least(m: int) -> int:
+    """The position of the lowest set bit of m > 0."""
+    return (m & -m).bit_length() - 1
+
+
 def is_resolving(G: Graph, S) -> ResolvingCertificate:
     """Certificate with verified=True iff every vertex pair differs in
-    distance to some landmark; otherwise the first unresolved pair."""
+    distance to some landmark; otherwise the first unresolved pair.
+
+    V is refined by each landmark's distance layers, singletons dropped. The
+    first vertex whose distance vector repeats is the least second member
+    of a surviving class, and its earlier twin is that class's least member.
+    """
     landmarks = tuple(sorted(set(S)))
     for s in landmarks:
         if not 0 <= s < G.n:
             raise ValueError(f"landmark {s} outside 0..{G.n - 1}")
-    seen: dict[tuple[int, ...], int] = {}
-    for v in range(G.n):
-        vec = tuple(G.dist(s, v) for s in landmarks)
-        prior = seen.get(vec)
-        if prior is not None:
-            return ResolvingCertificate(graph_hash(G), landmarks, False, (prior, v))
-        seen[vec] = v
-    return ResolvingCertificate(graph_hash(G), landmarks, True)
-
-
-def _layer_masks(G: Graph) -> list[list[int]]:
-    """layers[v][d] is the mask of the vertices at distance d from v, for
-    d = 0..ecc(v), plus a last entry for the UNREACHABLE ones (0 when G is
-    connected)."""
-    full = (1 << G.n) - 1
-    layers = []
-    for v in range(G.n):
-        masks = G.distance_layers(v)
-        masks.append(full - sum(masks))  # the layers are disjoint
-        layers.append(masks)
-    return layers
+    classes = [(1 << G.n) - 1] if G.n > 1 else []
+    for s in landmarks:
+        layers = G.distance_layers(s)
+        classes = [p for c in classes for m in layers if (p := c & m) & (p - 1)]
+    if not classes:
+        return ResolvingCertificate(graph_hash(G), landmarks, True)
+    c = min(classes, key=lambda c: _least(c & (c - 1)))
+    return ResolvingCertificate(graph_hash(G), landmarks, False,
+                                (_least(c), _least(c & (c - 1))))
 
 
 def _greedy(layers: list[list[int]]) -> tuple[tuple[int, ...], int]:
@@ -121,7 +120,7 @@ def greedy_resolving(G: Graph) -> tuple[int, ...]:
     """Iteratively add the landmark separating the most still-unresolved
     pairs, least vertex index on ties. Always returns a resolving set (a
     vertex separates itself from every other)."""
-    return _greedy(_layer_masks(G))[0]
+    return _greedy([G.distance_layers(v) for v in range(G.n)])[0]
 
 
 def _cover_masks(layers: list[list[int]], budget: Budget | None = None) -> list[int]:
@@ -198,7 +197,7 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
     if n < 2:
         cert = ResolvingCertificate(graph_hash(G), (), True)
         return MetricDimensionResult(0, 0, (), True, cert, 0)
-    layers = _layer_masks(G)
+    layers = [G.distance_layers(v) for v in range(n)]
     # The greedy is not charged, so a capped run always holds a resolving
     # set; its first step gives the best single landmark's pair count.
     incumbent, first_left = _greedy(layers)

@@ -8,7 +8,8 @@ The ``pair_*`` functions are earlier, plainer versions of the resolving
 kernels, and the ``image_*`` ones of the game solver's symmetry pruning,
 kept as references that the faster ones must match exactly.
 ``json_graph_hash`` is the structural hash as first defined: the whole
-edge list serialized at once.
+edge list serialized at once. Distances come from networkx BFS
+(``distance_rows``), never from the package.
 """
 
 import hashlib
@@ -26,6 +27,41 @@ def to_nx(G) -> nx.Graph:
     return H
 
 
+def distance_rows(G) -> list[list[int]]:
+    """rows[u][v] is the distance from u to v by networkx BFS, -1 when v is
+    not reachable from u."""
+    H = to_nx(G)
+    rows = []
+    for u in range(G.n):
+        lengths = nx.single_source_shortest_path_length(H, u)
+        rows.append([lengths.get(v, -1) for v in range(G.n)])
+    return rows
+
+
+def first_repeated_vector(G, S):
+    """(the first vertex whose distance vector to the landmarks S repeats,
+    its earlier twin), twin first; None when every vector is distinct."""
+    rows = distance_rows(G)
+    landmarks = sorted(set(S))
+    seen = {}
+    for v in range(G.n):
+        vec = tuple(rows[s][v] for s in landmarks)
+        if vec in seen:
+            return seen[vec], v
+        seen[vec] = v
+    return None
+
+
+def distance_vector_groups(G, P, B) -> dict:
+    """The vertices of B grouped by their distance vector to the placement
+    P, in P's order, -1 for a cop that does not reach the vertex."""
+    rows = distance_rows(G)
+    groups = {}
+    for v in B:
+        groups.setdefault(tuple(rows[p][v] for p in P), set()).add(v)
+    return {vec: frozenset(vs) for vec, vs in groups.items()}
+
+
 def json_graph_hash(n: int, edges) -> str:
     """sha256 of the compact sorted-key JSON of n and the sorted, deduplicated
     edge list, each edge written [min, max]."""
@@ -37,7 +73,7 @@ def json_graph_hash(n: int, edges) -> str:
 
 def exhaustive_metric_dimension(G):
     """Smallest resolving set by direct enumeration; fine for n <= 16."""
-    rows = [G.distance_row(v) for v in range(G.n)]
+    rows = distance_rows(G)
 
     def resolves(S):
         seen = set()
@@ -99,6 +135,7 @@ def sweep_loc_decide(G, k: int) -> str:
     if k < 1:
         return "robber-win"
     placements = list(combinations(range(n), min(k, n)))
+    rows = distance_rows(G)
     start = frozenset(range(n))
     succ = {}
     stack = [start]
@@ -110,7 +147,7 @@ def sweep_loc_decide(G, k: int) -> str:
         for P in placements:
             groups = {}
             for v in B:
-                groups.setdefault(tuple(G.dist(p, v) for p in P), set()).add(v)
+                groups.setdefault(tuple(rows[p][v] for p in P), set()).add(v)
             nxt = []
             for g in groups.values():
                 if len(g) > 1:
@@ -166,11 +203,12 @@ def randomized_resolving(G, rng):
     order = list(range(G.n))
     rng.shuffle(order)
     pending = {(u, v) for u in range(G.n) for v in range(u + 1, G.n)}
+    rows = distance_rows(G)
     S = []
     for v in order:
         if not pending:
             break
-        row = G.distance_row(v)
+        row = rows[v]
         sep = {p for p in pending if row[p[0]] != row[p[1]]}
         if sep:
             S.append(v)
@@ -185,8 +223,9 @@ def pair_cover_masks(G) -> list[int]:
     landmark."""
     masks = [0] * G.n
     pairs = [(a, b) for a in range(G.n) for b in range(a + 1, G.n)]
+    rows = distance_rows(G)
     for i, (a, b) in enumerate(pairs):
-        row_a, row_b = G.distance_row(a), G.distance_row(b)
+        row_a, row_b = rows[a], rows[b]
         for v in range(G.n):
             if row_a[v] != row_b[v]:
                 masks[v] |= 1 << i
@@ -219,7 +258,7 @@ def pair_metric_dimension(G, budget):
     n = G.n
     if n < 2:
         return 0, 0, (), True, 0
-    layers = R._layer_masks(G)
+    layers = [G.distance_layers(v) for v in range(n)]
     incumbent, first_left = R._greedy(layers)
     npairs = n * (n - 1) // 2
     lower0 = max(math.ceil(npairs / (npairs - first_left)), R._distance_bound(layers))

@@ -334,8 +334,15 @@ def test_invalid_inputs_exit_3(tmp_path, capsys):
                  '{"n": 3, "edges": null}', '[1, 2]', '{"n": 3, "edges": [[0, true]]}'):
         bad.write_text(body)
         assert run(capsys, "graph", "build", "--graph", str(bad))[0] == 3, body
-    assert run(capsys, "hyper", "girth", "--n", "3",
-               "--edges", '[[1, "a"]]')[0] == 3
+    for edges in ('[[1, "a"]]', '[1, 2]', '5'):
+        assert run(capsys, "hyper", "girth", "--n", "3",
+                   "--edges", edges)[0] == 3, edges
+    # malformed hypergraph files, read by --hypergraph and --gadget alike
+    for body in ('[1, 2]', '{"n": 3, "edges": 5}', '{"n": 3, "edges": [1, 2]}'):
+        bad.write_text(body)
+        assert run(capsys, "hyper", "girth", "--hypergraph", str(bad))[0] == 3, body
+        assert run(capsys, "hyper", "cover", "--k", "2", "--n", "10",
+                   "--gadget", str(bad))[0] == 3, body
 
 
 def test_argparse_errors_exit_3(capsys):
@@ -384,8 +391,12 @@ def test_md_artifacts_match_golden(capsys, golden, argv):
     ("loc_decide_kneser_2_7_cops_4.json",
      ["loc", "decide", "--graph", "kneser:2:7", "--cops", "4",
       "--budget-nodes", "100000000"]),
+    # a verifier trace: the static placement is evaded, each step observed
+    ("loc_verify_hs_static_trace.json",
+     ["loc", "verify", "--graph", "hs", "--strategy", "static",
+      "--set", "0,1,2,3,4,5,6", "--trace"]),
 ])
 def test_loc_artifacts_match_golden(capsys, golden, argv):
     code, out, _ = run(capsys, *argv)
-    assert code == 0
+    assert code == (1 if "static" in argv else 0)
     assert out == (GOLDEN / golden).read_text()

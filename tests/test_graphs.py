@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 import locdim as L
 from locdim.graphs import UNREACHABLE
 
-from oracles import bfs_girth, json_graph_hash, to_nx
+from oracles import (bfs_girth, distance_rows, distance_vector_groups,
+                     first_repeated_vector, json_graph_hash, to_nx)
 
 
 def corpus():
@@ -29,9 +30,42 @@ def test_bfs_matches_networkx():
         H = to_nx(G)
         for s in range(G.n):
             lengths = nx.single_source_shortest_path_length(H, s)
-            row = G.distance_row(s)
+            layers = G.distance_layers(s)
             for v in range(G.n):
-                assert row[v] == lengths.get(v, UNREACHABLE)
+                d = next(d for d, m in enumerate(layers) if m >> v & 1)
+                assert (d if d < len(layers) - 1 else UNREACHABLE) \
+                    == lengths.get(v, UNREACHABLE)
+
+
+@st.composite
+def graphs_with_components(draw):
+    """Graphs on 0..20 vertices whose edges stay inside up to four drawn
+    components, so isolated vertices and disconnected graphs are common."""
+    n = draw(st.integers(min_value=0, max_value=20))
+    comp = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    pool = [(a, b) for a, b in combinations(range(n), 2) if comp[a] == comp[b]]
+    edges = draw(st.sets(st.sampled_from(pool))) if pool else set()
+    return L.Graph(n, sorted(edges))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_distance_readers_match_networkx_rows_on_random_graphs(data):
+    G = data.draw(graphs_with_components())
+    rows = distance_rows(G)
+    for u, row in enumerate(rows):
+        # the layers at distance 0..ecc(u), then the vertices u does not reach
+        expect = [sum(1 << v for v, d in enumerate(row) if d == e)
+                  for e in [*range(max(row) + 1), -1]]
+        assert G.distance_layers(u) == expect
+    vertex = st.integers(0, max(G.n - 1, 0))
+    # landmark lists, empty and with repeats included
+    S = data.draw(st.lists(vertex, max_size=6 if G.n else 0))
+    cert = L.is_resolving(G, S)
+    pair = first_repeated_vector(G, S)
+    assert (cert.verified, cert.witness_pair) == (pair is None, pair)
+    B = data.draw(st.sets(vertex, max_size=G.n))
+    assert L.probe_partition(G, S, B) == distance_vector_groups(G, S, B)
 
 
 def test_diameter_against_networkx():

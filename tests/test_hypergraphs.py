@@ -185,8 +185,10 @@ def test_default_regularity():
 
 
 def test_gadget_search_k2_finds_five_cycle():
-    res = L.search_girth5_gadget(2)
+    budget = L.Budget(max_nodes=10**7)
+    res = L.search_girth5_gadget(2, budget=budget)
     assert res and res.complete
+    assert budget.nodes == 22
     assert res.gadget.canonical_edges() == ((1, 2), (1, 3), (2, 4), (3, 5),
                                             (4, 5))
     assert L.berge_girth(res.gadget) == 5
@@ -194,7 +196,9 @@ def test_gadget_search_k2_finds_five_cycle():
 
 def test_gadget_search_k2_r3_finds_petersen():
     import networkx as nx
-    res = L.search_girth5_gadget(2, regularity=3)
+    budget = L.Budget(max_nodes=10**7)
+    res = L.search_girth5_gadget(2, regularity=3, budget=budget)
+    assert budget.nodes == 133
     H = res.gadget
     assert H is not None and H.n == 10 and H.num_edges == 15
     assert H.regularity() == 3
@@ -205,9 +209,11 @@ def test_gadget_search_k2_r3_finds_petersen():
 
 
 def test_gadget_search_k3_absence_is_complete():
-    res = L.search_girth5_gadget(3, max_vertices=12)
+    budget = L.Budget(max_nodes=10**7)
+    res = L.search_girth5_gadget(3, max_vertices=12, budget=budget)
     assert res.gadget is None
     assert res.complete
+    assert budget.nodes == 949
     assert not res
 
 

@@ -15,6 +15,11 @@ from oracles import (exhaustive_metric_dimension, pair_cover_masks,
                      randomized_resolving)
 
 
+def layers(G):
+    """Every vertex's distance layers, the solvers' input."""
+    return [G.distance_layers(v) for v in range(G.n)]
+
+
 def test_is_resolving_verifies_and_witnesses():
     G = L.petersen()
     cert = L.is_resolving(G, (0, 1, 2))
@@ -113,7 +118,7 @@ def test_kernels_match_pair_loop_oracles_on_random_graphs(data):
     pairs = list(combinations(range(n), 2))
     edges = data.draw(st.sets(st.sampled_from(pairs))) if pairs else set()
     G = L.Graph(n, sorted(edges))
-    assert R._cover_masks(R._layer_masks(G)) == pair_cover_masks(G)
+    assert R._cover_masks(layers(G)) == pair_cover_masks(G)
     assert L.greedy_resolving(G) == pair_greedy_resolving(G)
 
 
@@ -121,7 +126,7 @@ def test_kernels_match_pair_loop_oracles_on_families():
     for G in (L.petersen(), L.hoffman_singleton(), L.kneser_graph(2, 7),
               L.kneser_graph(3, 7), L.er_polarity_graph(4).graph,
               L.cycle_graph(9)):
-        assert R._cover_masks(R._layer_masks(G)) == pair_cover_masks(G)
+        assert R._cover_masks(layers(G)) == pair_cover_masks(G)
         assert L.greedy_resolving(G) == pair_greedy_resolving(G)
     G = L.kneser_graph(3, 9)
     assert L.greedy_resolving(G) == pair_greedy_resolving(G)
@@ -137,14 +142,14 @@ def test_capped_lower_bound_is_below_the_metric_dimension(data):
     edges |= data.draw(st.sets(st.sampled_from(list(combinations(range(n), 2)))))
     G = L.Graph(n, sorted(edges))
     beta = len(exhaustive_metric_dimension(G))
-    assert R._distance_bound(R._layer_masks(G)) <= beta
+    assert R._distance_bound(layers(G)) <= beta
     res = L.metric_dimension(G, budget=L.Budget(max_nodes=1))
     assert res.lower <= beta <= res.upper
 
 
 def test_distance_bound_values():
     def bound(G):
-        return R._distance_bound(R._layer_masks(G))
+        return R._distance_bound(layers(G))
     assert bound(L.hoffman_singleton()) == 6  # 5 + 2^5 < 50 <= 6 + 2^6
     assert bound(L.kneser_graph(4, 13)) == 10
     assert bound(L.Graph(5, [(a, b) for a, b in combinations(range(5), 2)])) == 4
