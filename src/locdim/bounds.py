@@ -188,8 +188,10 @@ class BoundsReport:
 
 def _as_interval(v) -> tuple[int, int]:
     if isinstance(v, tuple):
-        lo, hi = v
-        return int(lo), int(hi)
+        lo, hi = map(int, v)
+        if lo > hi:
+            raise ValueError(f"empty interval {lo}:{hi}")
+        return lo, hi
     return int(v), int(v)
 
 

@@ -26,25 +26,38 @@ DEFAULT_MAX_N = 12
 DEFAULT_MAX_K = 4
 
 
+def _spread(adj, b: int) -> int:
+    """Where the robber may be after moving from mask b: the union of the
+    closed neighbourhoods of its vertices."""
+    out = b
+    for v in bits(b):
+        out |= adj[v]
+    return out
+
+
+def _split(cop_layers, b: int) -> dict[tuple[int, ...], int]:
+    """Mask b split by each cop's ``distance_layers`` in turn: the non-empty
+    cells, keyed by the distance vector to the cops, UNREACHABLE (-1) where
+    a cop does not reach."""
+    cells = {(): b} if b else {}
+    for *layers, unreached in cop_layers:
+        keyed = [*enumerate(layers), (UNREACHABLE, unreached)]
+        cells = {vec + (d,): c & m for vec, c in cells.items()
+                 for d, m in keyed if c & m}
+    return cells
+
+
 def spread(G: Graph, B) -> frozenset:
     """Union of closed neighborhoods: where the robber may be after moving."""
-    out = 0
-    for v in B:
-        out |= G.adj[v] | 1 << v
-    return frozenset(bits(out))
+    return frozenset(bits(_spread(G.adj, sum(1 << v for v in frozenset(B)))))
 
 
 def probe_partition(G: Graph, P, B) -> dict[tuple[int, ...], frozenset]:
     """Partition of the belief by the distance vector each candidate would
     produce against the placement, UNREACHABLE (-1) where a cop does not
-    reach it: B is split by each cop's distance layers in turn."""
-    cells = {(): sum(1 << v for v in frozenset(B))}
-    for p in P:
-        *layers, unreached = G.distance_layers(p)
-        keyed = [*enumerate(layers), (UNREACHABLE, unreached)]
-        cells = {vec + (d,): c & m for vec, c in cells.items()
-                 for d, m in keyed if c & m}
-    return {vec: frozenset(bits(c)) for vec, c in cells.items() if c}
+    reach it."""
+    cells = _split(map(G.distance_layers, P), sum(1 << v for v in frozenset(B)))
+    return {vec: frozenset(bits(c)) for vec, c in cells.items()}
 
 
 class _Memo(dict):
@@ -61,24 +74,25 @@ class _Memo(dict):
 
 def _target_table(autos, n: int) -> list[list[int]]:
     """to[t][i]: the mask, over indices into autos, of the automorphisms
-    that send bit position i to bit position t (vertex v is bit n-1-v)."""
+    that send vertex i to vertex t."""
     rows = [[bytearray(len(autos) + 7 >> 3) for _ in range(n)] for _ in range(n)]
     for j, sig in enumerate(autos):
         byte, bit = j >> 3, 1 << (j & 7)
         for v, w in enumerate(sig):
-            rows[n - 1 - w][n - 1 - v][byte] |= bit
+            rows[w][v][byte] |= bit
     return [[int.from_bytes(r, "little") for r in row] for row in rows]
 
 
 def _max_image(to: list[list[int]], b: int) -> tuple[int, int]:
-    """The largest image of mask b under the group of table to, and the mask
-    of the elements that reach it (b's stabilizer when b is canonical). One
-    walk down the target bits: t joins the image iff an element still in C
-    sends a bit of b to t, and then C keeps only those elements."""
+    """The canonical image of mask b under the group of table to, the one
+    whose sorted vertex tuple is lexicographically least (the largest mask
+    when vertex 0 is read as the most significant bit), and the mask of the
+    elements that reach it (b's stabilizer when b is canonical). One walk up
+    the target vertices: t joins the image iff an element still in C sends
+    a vertex of b to t, and then C keeps only those elements."""
     src = bits(b)
     out, left, C = 0, len(src), -1  # C = -1: every element
-    for t in range(len(to) - 1, -1, -1):
-        row = to[t]
+    for t, row in enumerate(to):
         x = 0
         for i in src:
             x |= row[i]
@@ -123,19 +137,23 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
 
     Winning beliefs are downward closed, so placements of size exactly
     min(k, n) lose no generality. Symmetry comes from G's generators: when
-    it carries some, each belief is replaced by its largest image under the
-    group they produce (found with its stabilizer by ``_max_image``, one
-    walk down a table of group-element masks), and placements are
-    deduplicated under each belief's stabilizer; pruning only removes
-    isomorphic branches, so the outcome is schedule-independent.
+    it carries some, each belief is replaced by its image with the least
+    sorted vertex tuple under the group they produce (found with its
+    stabilizer by ``_max_image``, one walk up a table of group-element
+    masks), and placements are deduplicated under each belief's
+    stabilizer; pruning only removes isomorphic branches, so the outcome
+    is schedule-independent.
 
     Internally beliefs and observation classes are int bitmasks (vertex v is
-    bit n-1-v, so the lexicographically least vertex tuple is the largest
-    mask); the returned strategy maps frozenset beliefs to placements.
+    bit v, as in ``Graph.adj``), spread by ``_spread`` and split by
+    ``_split`` like the frozensets of ``spread`` and ``probe_partition``;
+    the returned strategy maps frozenset beliefs to placements.
     """
     n = G.n
     if n == 0:
         raise ValueError("empty graph")
+    if k < 0:
+        raise ValueError(f"cop count must be >= 0, got {k}")
     if n == 1:
         return LocDecision("cop-win", k, strategy={frozenset({0}): ()})
     if k < 1:
@@ -148,15 +166,8 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
                        f"k <= {DEFAULT_MAX_K}); pass a budget to extend")
         budget = Budget(max_nodes=DEFAULT_LOC_BUDGET)
     size = min(k, n)
-
-    def flip(m: int) -> int:
-        """Mask m with each vertex v moved from bit v to bit n-1-v."""
-        return int(f"{m:0{n}b}"[::-1], 2)
-
-    # by bit position, the closed neighbourhood
-    closed = [flip(G.adj[v] | 1 << v) for v in reversed(range(n))]
-    # per vertex, its non-empty distance layers, by distance
-    layers = [list(filter(None, map(flip, G.distance_layers(v)))) for v in range(n)]
+    start = (1 << n) - 1  # fixed by every automorphism
+    layers = [G.distance_layers(v) for v in range(n)]
 
     autos = automorphism_group(G)
     to = _target_table(autos, n) if autos else None
@@ -165,11 +176,8 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
 
     def atoms_of(i: int) -> tuple[int, ...]:
         """The cells of V split by distance vector to placement i."""
-        cells = ((1 << n) - 1,)
-        for p in all_placements[i]:
-            cells = tuple(c & layer for c in cells for layer in layers[p]
-                          if c & layer)
-        return cells
+        return tuple(_split([layers[p] for p in all_placements[i]],
+                            start).values())
 
     atoms = _Memo(atoms_of)
 
@@ -177,13 +185,10 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
         """The canonical spread of class c; 0 when c is already located."""
         if not c & (c - 1):
             return 0
-        s = 0
-        for i in bits(c):
-            s |= closed[i]
+        s = _spread(G.adj, c)
         return _max_image(to, s)[0] if autos else s
 
     successors = _Memo(successor)
-    start = (1 << n) - 1  # fixed by every automorphism
     # AND-OR reachability: per belief, each distinct set of successors a
     # placement leads to, with the first placement that does; every
     # successor must be winning (0 always is).
@@ -228,7 +233,7 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
                 queue.append(entry[1])
 
     if start in winning:
-        strategy = {frozenset(n - 1 - i for i in bits(B)): all_placements[j]
+        strategy = {frozenset(bits(B)): all_placements[j]
                     for B, j in winning.items()}
         return LocDecision("cop-win", k, strategy=strategy,
                            beliefs=len(options), placements=placements_evaluated)
@@ -430,8 +435,9 @@ def verify_strategy(G: Graph, strategy, k: int,
     """
     if max_rounds is None:
         max_rounds = 2 * G.n + 4
-    memo: dict[frozenset, int] = {}
-    onstack: set[frozenset] = set()
+    layers = _Memo(G.distance_layers)  # each cop's BFS runs once per call
+    memo: dict[int, int] = {}
+    onstack: set[int] = set()
     path: list[dict] = []
     tags: set[str] = set()
     report = VerificationReport("evaded", k, graph_hash(G), max_rounds)
@@ -445,23 +451,14 @@ def verify_strategy(G: Graph, strategy, k: int,
         tags.add(tag)
         return P, tag
 
-    def step_record(round_no, belief, P, tag, obs, cls) -> dict:
-        return {
-            "round": round_no,
-            "belief": sorted(belief),
-            "placement": list(P),
-            "stage": tag,
-            "observation": list(obs),
-            "refined": sorted(cls),
-        }
-
-    def explore(C: frozenset, depth: int) -> int:
-        # height: max further probes needed once the robber is pinned to C
-        if len(C) == 1:
+    def explore(c: int | None, depth: int) -> int:
+        # height: the probes still needed once the robber is pinned to class
+        # mask c, or anywhere (c is None) before the first probe
+        if c is not None and not c & (c - 1):
             return 0
-        if C in onstack:
+        if c in onstack:
             raise _Evasion("cycle: the same refined belief repeats along a play")
-        cached = memo.get(C)
+        cached = memo.get(c)
         if cached is not None:
             if depth + cached > max_rounds:
                 raise _Evasion("round limit exceeded")
@@ -469,41 +466,36 @@ def verify_strategy(G: Graph, strategy, k: int,
         if depth >= max_rounds:
             raise _Evasion("round limit exceeded")
         try:
-            P, tag = place(C)
+            P, tag = place(None if c is None else frozenset(bits(c)))
         except UnhandledBeliefError as exc:
             raise _Evasion(f"unhandled belief {sorted(exc.belief)}") from exc
-        belief = spread(G, C)
-        parts = probe_partition(G, P, belief)
-        onstack.add(C)
+        belief = (1 << G.n) - 1 if c is None else _spread(G.adj, c)
+        parts = _split([layers[p] for p in P], belief)
+        onstack.add(c)
         worst = 0
         for obs in sorted(parts):
-            cls = parts[obs]
             report.classes_explored += 1
-            path.append(step_record(depth + 1, belief, P, tag, obs, cls))
-            worst = max(worst, explore(cls, depth + 1))
+            path.append({
+                "round": depth + 1,
+                "belief": bits(belief),
+                "placement": list(P),
+                "stage": tag,
+                "observation": list(obs),
+                "refined": bits(parts[obs]),
+            })
+            worst = max(worst, explore(parts[obs], depth + 1))
             path.pop()
-        onstack.discard(C)
-        memo[C] = worst + 1
+        onstack.discard(c)
+        memo[c] = worst + 1
         return worst + 1
 
     try:
-        P0, tag0 = place(None)
-        belief0 = frozenset(range(G.n))
-        parts0 = probe_partition(G, P0, belief0)
-        worst = 0
-        for obs in sorted(parts0):
-            cls = parts0[obs]
-            report.classes_explored += 1
-            path.append(step_record(1, belief0, P0, tag0, obs, cls))
-            worst = max(worst, explore(cls, 1))
-            path.pop()
+        rounds = explore(None, 0)
     except _Evasion as ev:
-        report.outcome = "evaded"
         report.reason = ev.reason
         report.trace = list(path)
-        report.stage_tags = tuple(sorted(tags))
-        return report
-    report.outcome = "captured"
-    report.captured_max_rounds = 1 + worst
+    else:
+        report.outcome = "captured"
+        report.captured_max_rounds = rounds
     report.stage_tags = tuple(sorted(tags))
     return report

@@ -176,13 +176,15 @@ def sweep_loc_decide(G, k: int) -> str:
 
 
 def image_max_image(autos, n: int, b: int):
-    """The largest image of mask b (vertex v is bit n-1-v) under the listed
-    automorphisms, mapping b through every one of them, and the
-    automorphisms that produce it; for a largest mask, its stabilizer."""
+    """The image of mask b (vertex v is bit v) with the lexicographically
+    least sorted vertex tuple under the listed automorphisms, mapping b
+    through every one of them, and the automorphisms that produce it; for
+    such a least image, its stabilizer."""
     src = [i for i in range(n) if b >> i & 1]
-    images = [sum(1 << (n - 1 - sig[n - 1 - i]) for i in src) for sig in autos]
-    best = max(images)
-    return best, [sig for sig, img in zip(autos, images) if img == best]
+    images = [sorted(sig[i] for i in src) for sig in autos]
+    best = min(images)
+    return (sum(1 << v for v in best),
+            [sig for sig, img in zip(autos, images) if img == best])
 
 
 def image_orbit_firsts(placements, stab) -> list[int]:

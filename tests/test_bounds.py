@@ -168,6 +168,17 @@ def test_bounds_report_accepts_intervals():
         L.bounds_report("moore", k=7, computed={"zeta": (8, 9)})
 
 
+def test_bounds_report_rejects_empty_intervals():
+    # lo > hi holds no value, so it can contradict no bound: refuse it
+    with pytest.raises(ValueError, match="empty interval 9:8"):
+        L.bounds_report("moore", k=7, computed={"beta": (9, 8)})
+    with pytest.raises(ValueError):
+        L.bounds_report("kneser", k=4, n=12, computed={"zeta": (7, 6)})
+    from locdim.cli import main
+    assert main(["bounds", "report", "--family", "moore", "--k", "7",
+                 "--beta", "9:8"]) == 3
+
+
 def test_bounds_report_polarity_family():
     rep = L.bounds_report("polarity", q=5, computed={"beta": 9,
                                                      "zeta": (2, 9)})

@@ -328,6 +328,7 @@ def test_invalid_inputs_exit_3(tmp_path, capsys):
                "--kprime", "1")[0] == 3  # inline edges without --n
     assert run(capsys, "hyper", "convert", "--direction", "to-hypergraph",
                "--k", "2", "--n", "6")[0] == 3  # missing --set
+    assert run(capsys, "loc", "decide", "--graph", "c5", "--cops", "-1")[0] == 3
     # malformed graph artifacts: wrong types are refused, not crashed on
     for body in ('{"n": "5", "edges": []}', '{"n": 2.0, "edges": []}',
                  '{"n": 3, "edges": [[0, 1.5]]}', '{"n": 3, "edges": [["0", "1"]]}',
@@ -395,6 +396,9 @@ def test_md_artifacts_match_golden(capsys, golden, argv):
     ("loc_verify_hs_static_trace.json",
      ["loc", "verify", "--graph", "hs", "--strategy", "static",
       "--set", "0,1,2,3,4,5,6", "--trace"]),
+    # zeta(K(2,7)) = 4: localization_number scans k upward under S_7
+    ("loc_number_kneser_2_7.json",
+     ["loc", "number", "--graph", "kneser:2:7", "--budget-nodes", "100000000"]),
 ])
 def test_loc_artifacts_match_golden(capsys, golden, argv):
     code, out, _ = run(capsys, *argv)

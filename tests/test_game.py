@@ -194,6 +194,9 @@ def test_loc_decide_monotone_in_cops():
 def test_loc_decide_trivia():
     assert L.loc_decide(L.Graph(1, []), 0).result == "cop-win"
     assert L.loc_decide(L.petersen(), 0).result == "robber-win"
+    for G in (L.Graph(1, []), L.cycle_graph(5)):
+        with pytest.raises(ValueError, match="cop count"):
+            L.loc_decide(G, -1)
     with pytest.raises(ValueError):
         L.loc_decide(L.Graph(0, []), 1)
 
@@ -364,6 +367,46 @@ def test_verify_round_limit():
     assert report.outcome == "evaded"
     assert report.reason == "round limit exceeded"
     assert L.verify_strategy(HS, strat, 7, max_rounds=4).outcome == "captured"
+
+
+@pytest.mark.parametrize("spec", ["c5", "cycle:6", "petersen", "er:2"])
+def test_verify_keeps_the_opening_round_within_max_rounds(spec):
+    # a limit of m rounds captures iff the unlimited replay captures within
+    # m; the opening probe counts as round 1, so m <= 0 never captures
+    G = resolve_graph_spec(spec)[0]
+    captured = 0
+    for size in (1, 2, 3):
+        for P in combinations(range(G.n), size):
+            free = L.verify_strategy(G, L.ConstantStrategy(P), size)
+            for max_rounds in (-5, 0, 1, 2, 3):
+                rep = L.verify_strategy(G, L.ConstantStrategy(P), size,
+                                        max_rounds=max_rounds)
+                assert rep.max_rounds_allowed == max_rounds
+                if rep.outcome == "captured":
+                    captured += 1
+                    assert rep.captured_max_rounds <= max_rounds
+                    assert rep.captured_max_rounds == free.captured_max_rounds
+                else:
+                    assert free.outcome == "evaded" \
+                        or free.captured_max_rounds > max_rounds
+    assert captured  # some static placement locates the robber
+
+
+def test_verify_computes_each_cops_layers_once():
+    calls = {}
+
+    class CountingGraph(L.Graph):
+        def distance_layers(self, u):
+            calls[u] = calls.get(u, 0) + 1
+            return super().distance_layers(u)
+
+    HS = L.hoffman_singleton()
+    G = CountingGraph(HS.n, HS.edges)
+    strategy = L.moore_strategy(G)  # checks the Moore property by BFS
+    calls.clear()
+    report = L.verify_strategy(G, strategy, 7)
+    assert report.outcome == "captured" and report.classes_explored == 1513
+    assert calls and set(calls.values()) == {1}
 
 
 def test_verify_surfaces_unhandled_beliefs():
