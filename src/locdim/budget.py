@@ -18,10 +18,10 @@ class Budget:
     """Mutable counter of search effort with optional node and time caps."""
 
     def __init__(self, max_nodes: int | None = None,
-                 max_seconds: float | None = None, nodes: int = 0) -> None:
+                 max_seconds: float | None = None) -> None:
         self.max_nodes = max_nodes
         self.max_seconds = max_seconds
-        self.nodes = nodes
+        self.nodes = 0
         self._started = time.monotonic()
 
     def spend(self, amount: int = 1) -> None:

@@ -1,9 +1,17 @@
 """Command-line front end.
 
-Verbs: graph, hyper, md, loc, bounds. Every artifact is JSON rendered with
-sorted keys and two-space indent plus a trailing newline, so identical inputs
-produce byte-identical files. Exit codes: 0 success, 1 verification failure,
-2 budget exhausted, 3 invalid input.
+Verbs: graph, hyper, md, loc, bounds. A run is one pipeline: parse the
+arguments, call the verb's handler, write its artifact, return its exit code.
+Every handler ``cmd_*`` returns ``(artifact, exit_code)``: a dict, the DOT
+text of ``graph export --format dot``, or None. ``main`` alone writes the
+artifact (to stdout or ``--out``) and turns exceptions into exit codes. The
+one handler that prints is ``bounds report``, its contradiction message:
+catching that error in ``main`` would import the bounds module for every
+verb. A dict is rendered as JSON with sorted keys and two-space indent plus
+a trailing newline, so identical inputs produce byte-identical files. Exit
+codes: 0 success, 1 verification failure, 2 budget exhausted, 3 invalid
+input. Only the verbs that search (hyper detect, gadget and cover; md exact;
+loc decide and number) take ``--budget-nodes`` and ``--budget-seconds``.
 """
 
 from __future__ import annotations
@@ -20,17 +28,6 @@ from .graphs import (Graph, cycle_graph, graph_from_json_dict, graph_hash,
 
 # Handlers import solver names from the package, which loads their modules on
 # first use; so rebinding the package's names (as perfbench does) reaches them.
-
-
-def _emit(obj: dict, out: str | None) -> None:
-    _emit_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", out)
-
-
-def _emit_text(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
 
 
 def resolve_graph_spec(spec: str):
@@ -96,6 +93,17 @@ def _budget(args) -> Budget | None:
     return Budget(max_nodes=nodes, max_seconds=seconds)
 
 
+def _find_gadget(args, regularity=None):
+    """The girth-5 gadget search's answer, a gadget or None when none
+    exists; a search cut short by its budget raises."""
+    from . import search_girth5_gadget
+    res = search_girth5_gadget(args.k, max_vertices=args.max_vertices,
+                               regularity=regularity, budget=_budget(args))
+    if not res.complete:
+        raise BudgetExceededError("gadget search budget exhausted")
+    return res.gadget
+
+
 def _interval(text: str):
     if ":" in text:
         lo, hi = text.split(":", 1)
@@ -110,7 +118,7 @@ def _girth_value(g):
 # -- handlers ------------------------------------------------------------------
 
 
-def cmd_graph_build(args) -> int:
+def cmd_graph_build(args):
     G, _ = resolve_graph_spec(args.graph)
     art = graph_to_json_dict(G)
     art["hash"] = graph_hash(G)
@@ -119,126 +127,102 @@ def cmd_graph_build(args) -> int:
         art["diameter"] = d if isinstance(d, int) else "infinity"
         art["girth"] = _girth_value(graph_girth(G))
         art["regularity"] = G.regularity()
-    _emit(art, args.out)
-    return 0
+    return art, 0
 
 
-def cmd_graph_export(args) -> int:
+def cmd_graph_export(args):
     if args.format == "json":  # the artifact of ``graph build``
         return cmd_graph_build(args)
     G, _ = resolve_graph_spec(args.graph)
-    _emit_text(graph_to_dot(G), args.out)
-    return 0
+    return graph_to_dot(G), 0
 
 
-def cmd_hyper_detect(args) -> int:
+def cmd_hyper_detect(args):
     from . import is_detectable
     H = _load_hypergraph(args)
     res = is_detectable(H, args.kprime, budget=_budget(args))
-    _emit({
+    return {
         "n": H.n,
         "kprime": args.kprime,
         "detectable": res.detectable,
         "witness": [sorted(w) for w in res.witness] if res.witness else None,
         "sets_checked": res.sets_checked,
-    }, args.out)
-    return 0
+    }, 0
 
 
-def cmd_hyper_girth(args) -> int:
+def cmd_hyper_girth(args):
     from . import berge_girth
     H = _load_hypergraph(args)
-    _emit({"n": H.n, "edges": H.num_edges,
-           "berge_girth": _girth_value(berge_girth(H))}, args.out)
-    return 0
+    return {"n": H.n, "edges": H.num_edges,
+            "berge_girth": _girth_value(berge_girth(H))}, 0
 
 
-def cmd_hyper_certify(args) -> int:
+def cmd_hyper_certify(args):
     from . import certify_detectable
     H = _load_hypergraph(args)
     ok = certify_detectable(H, args.kprime)
-    _emit({"n": H.n, "kprime": args.kprime, "certified": ok}, args.out)
-    return 0 if ok else 1
+    return {"n": H.n, "kprime": args.kprime, "certified": ok}, 0 if ok else 1
 
 
-def cmd_hyper_convert(args) -> int:
+def cmd_hyper_convert(args):
     from . import hypergraph_to_resolving, resolving_to_hypergraph
     if args.direction == "to-resolving":
         H = _load_hypergraph(args)
         S = hypergraph_to_resolving(H, args.k, args.n)
-        _emit({"k": args.k, "n": args.n, "landmarks": list(S),
-               "size": len(S)}, args.out)
-        return 0
+        return {"k": args.k, "n": args.n, "landmarks": list(S),
+                "size": len(S)}, 0
     if args.set is None:
         raise ValueError("to-hypergraph needs --set")
     G = kneser_graph(args.k, args.n)
     S = parse_vertex_set(G, args.set)
-    H = resolving_to_hypergraph(S, args.k, args.n)
-    _emit(H.to_json_dict(), args.out)
-    return 0
+    return resolving_to_hypergraph(S, args.k, args.n).to_json_dict(), 0
 
 
-def cmd_hyper_gadget(args) -> int:
-    from . import berge_girth, search_girth5_gadget
-    res = search_girth5_gadget(
-        args.k, max_vertices=args.max_vertices, regularity=args.regularity,
-        budget=_budget(args))
-    if res.gadget is not None:
-        H = res.gadget
-        _emit({"found": True, "complete": True, "k": args.k,
-               "n": H.n, "regularity": H.regularity(),
-               "berge_girth": _girth_value(berge_girth(H)),
-               "edges": [list(e) for e in H.canonical_edges()]}, args.out)
-        return 0
-    if res.complete:
-        _emit({"found": False, "complete": True, "k": args.k,
-               "max_vertices": args.max_vertices}, args.out)
-        return 0
-    print("error: gadget search budget exhausted", file=sys.stderr)
-    return 2
+def cmd_hyper_gadget(args):
+    from . import berge_girth
+    H = _find_gadget(args, args.regularity)
+    if H is None:
+        return {"found": False, "complete": True, "k": args.k,
+                "max_vertices": args.max_vertices}, 0
+    return {"found": True, "complete": True, "k": args.k,
+            "n": H.n, "regularity": H.regularity(),
+            "berge_girth": _girth_value(berge_girth(H)),
+            "edges": [list(e) for e in H.canonical_edges()]}, 0
 
 
-def cmd_hyper_cover(args) -> int:
-    from . import (Hypergraph, is_resolving, kneser_resolving_cover,
-                   search_girth5_gadget)
+def cmd_hyper_cover(args):
+    from . import Hypergraph, is_resolving, kneser_resolving_cover
     if args.gadget:
         data = json.loads(Path(args.gadget).read_text())
         H = Hypergraph.from_json_dict(data)
     else:
-        res = search_girth5_gadget(args.k, max_vertices=args.max_vertices,
-                                   budget=_budget(args))
-        if res.gadget is None:
-            if not res.complete:
-                print("error: gadget search budget exhausted", file=sys.stderr)
-                return 2
+        H = _find_gadget(args)
+        if H is None:
             raise ValueError(
                 f"no girth-5 gadget with k={args.k} on <= {args.max_vertices} "
                 "vertices; raise --max-vertices or supply --gadget")
-        H = res.gadget
     S = kneser_resolving_cover(args.k, args.n, H)
     cert = is_resolving(kneser_graph(args.k, args.n), S)
-    _emit({"k": args.k, "n": args.n, "gadget_points": H.n,
-           "landmarks": list(S), "size": len(S), "verified": cert.verified,
-           "graph_hash": cert.graph_hash}, args.out)
-    return 0 if cert.verified else 1
+    return {"k": args.k, "n": args.n, "gadget_points": H.n,
+            "landmarks": list(S), "size": len(S), "verified": cert.verified,
+            "graph_hash": cert.graph_hash}, 0 if cert.verified else 1
 
 
-def cmd_md_verify(args) -> int:
+def cmd_md_verify(args):
     from . import is_resolving
     G, _ = resolve_graph_spec(args.graph)
     S = parse_vertex_set(G, args.set)
     cert = is_resolving(G, S)
     art = cert.to_json_dict()
     art["labels"] = [G.label_of(v) for v in cert.landmarks]
-    _emit(art, args.out)
-    return 0 if cert.verified else 1
+    return art, 0 if cert.verified else 1
 
 
-def cmd_md_exact(args) -> int:
+def cmd_md_exact(args):
     from . import metric_dimension
     G, _ = resolve_graph_spec(args.graph)
     res = metric_dimension(G, budget=_budget(args))
-    _emit({
+    return {
         "graph_hash": res.certificate.graph_hash,
         "lower": res.lower,
         "upper": res.upper,
@@ -246,20 +230,18 @@ def cmd_md_exact(args) -> int:
         "value": res.value,
         "landmarks": list(res.landmarks),
         "nodes": res.nodes,
-    }, args.out)
-    return 0 if res.exact else 2
+    }, 0 if res.exact else 2
 
 
-def cmd_md_greedy(args) -> int:
+def cmd_md_greedy(args):
     from . import greedy_resolving
     G, _ = resolve_graph_spec(args.graph)
     S = greedy_resolving(G)
-    _emit({"graph_hash": graph_hash(G), "landmarks": list(S),
-           "size": len(S)}, args.out)
-    return 0
+    return {"graph_hash": graph_hash(G), "landmarks": list(S),
+            "size": len(S)}, 0
 
 
-def cmd_md_construct(args) -> int:
+def cmd_md_construct(args):
     from . import is_resolving, moore_resolving, polarity_resolving
     G, P = resolve_graph_spec(args.graph)
     if P is not None:
@@ -273,37 +255,35 @@ def cmd_md_construct(args) -> int:
         S = moore_resolving(G)
         family = "moore"
     cert = is_resolving(G, S)
-    _emit({
+    return {
         "family": family,
         "graph_hash": cert.graph_hash,
         "landmarks": list(S),
         "labels": [G.label_of(v) for v in S],
         "size": len(S),
         "verified": cert.verified,
-    }, args.out)
-    return 0 if cert.verified else 1
+    }, 0 if cert.verified else 1
 
 
-def cmd_loc_decide(args) -> int:
+def cmd_loc_decide(args):
     from . import loc_decide
     G, _ = resolve_graph_spec(args.graph)
     d = loc_decide(G, args.cops, budget=_budget(args))
-    _emit({
+    return {
         "graph_hash": graph_hash(G),
         "cops": args.cops,
         "result": d.result,
         "beliefs": d.beliefs,
         "placements": d.placements,
         "reason": d.reason,
-    }, args.out)
-    return 2 if d.result == "unknown" else 0
+    }, 2 if d.result == "unknown" else 0
 
 
-def cmd_loc_number(args) -> int:
+def cmd_loc_number(args):
     from . import localization_number
     G, _ = resolve_graph_spec(args.graph)
     res = localization_number(G, budget=_budget(args))
-    _emit({
+    return {
         "graph_hash": graph_hash(G),
         "lower": res.lower,
         "upper": res.upper,
@@ -311,12 +291,13 @@ def cmd_loc_number(args) -> int:
         "value": res.value,
         "method": res.method,
         "decisions": [list(d) for d in res.decisions],
-    }, args.out)
-    return 2 if res.method == "budget" else 0
+    }, 2 if res.method == "budget" else 0
 
 
-def cmd_loc_verify(args) -> int:
+def cmd_loc_verify(args):
     from . import ConstantStrategy, MooreStrategy, verify_strategy
+    if args.max_rounds is not None and args.max_rounds < 0:
+        raise ValueError(f"--max-rounds must be >= 0, got {args.max_rounds}")
     G, _ = resolve_graph_spec(args.graph)
     if args.strategy == "moore":
         strat = MooreStrategy(G)
@@ -333,11 +314,10 @@ def cmd_loc_verify(args) -> int:
     art = report.to_json_dict()
     if not args.trace:
         art["trace"] = []
-    _emit(art, args.out)
-    return 0 if report.outcome == "captured" else 1
+    return art, 0 if report.outcome == "captured" else 1
 
 
-def cmd_bounds_report(args) -> int:
+def cmd_bounds_report(args):
     from . import BoundContradictionError, bounds_report
     computed = {}
     if args.beta is not None:
@@ -349,9 +329,8 @@ def cmd_bounds_report(args) -> int:
                             gadget_m=args.gadget_m, computed=computed)
     except BoundContradictionError as exc:
         print(f"bound contradiction: {exc}", file=sys.stderr)
-        return 1
-    _emit(rep.to_json_dict(), args.out)
-    return 0
+        return None, 1
+    return rep.to_json_dict(), 0
 
 
 # -- parser ------------------------------------------------------------------
@@ -360,9 +339,10 @@ def cmd_bounds_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the artifact here instead of stdout")
-    common.add_argument("--budget-nodes", type=int, default=None,
+    search = argparse.ArgumentParser(add_help=False, parents=[common])
+    search.add_argument("--budget-nodes", type=int, default=None,
                         help="node budget for search-based commands")
-    common.add_argument("--budget-seconds", type=float, default=None,
+    search.add_argument("--budget-seconds", type=float, default=None,
                         help="wall-clock budget for search-based commands")
 
     parser = argparse.ArgumentParser(
@@ -387,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     hyper_sub = p_hyper.add_subparsers(dest="cmd", required=True)
     for name, fn in (("detect", cmd_hyper_detect), ("girth", cmd_hyper_girth),
                      ("certify", cmd_hyper_certify)):
-        h = hyper_sub.add_parser(name, parents=[common])
+        h = hyper_sub.add_parser(
+            name, parents=[search if name == "detect" else common])
         h.add_argument("--hypergraph", help="JSON file with n and edges")
         h.add_argument("--n", type=int, help="vertex count for inline --edges")
         h.add_argument("--edges", help="inline JSON list of edges")
@@ -403,12 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
     h.add_argument("--edges")
     h.add_argument("--set", help="landmark list for to-hypergraph")
     h.set_defaults(func=cmd_hyper_convert)
-    h = hyper_sub.add_parser("gadget", parents=[common])
+    h = hyper_sub.add_parser("gadget", parents=[search])
     h.add_argument("--k", type=int, required=True)
     h.add_argument("--max-vertices", type=int, default=12)
     h.add_argument("--regularity", type=int, default=None)
     h.set_defaults(func=cmd_hyper_gadget)
-    h = hyper_sub.add_parser("cover", parents=[common])
+    h = hyper_sub.add_parser("cover", parents=[search])
     h.add_argument("--k", type=int, required=True)
     h.add_argument("--n", type=int, required=True)
     h.add_argument("--gadget", help="hypergraph JSON file to tile with")
@@ -422,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--set", required=True,
                    help="comma-separated vertices; labels resolve first")
     m.set_defaults(func=cmd_md_verify)
-    m = md_sub.add_parser("exact", parents=[common])
+    m = md_sub.add_parser("exact", parents=[search])
     m.add_argument("--graph", required=True)
     m.set_defaults(func=cmd_md_exact)
     m = md_sub.add_parser("greedy", parents=[common])
@@ -435,11 +416,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_loc = sub.add_parser("loc", help="localization game")
     loc_sub = p_loc.add_subparsers(dest="cmd", required=True)
-    l = loc_sub.add_parser("decide", parents=[common])
+    l = loc_sub.add_parser("decide", parents=[search])
     l.add_argument("--graph", required=True)
     l.add_argument("--cops", type=int, required=True)
     l.set_defaults(func=cmd_loc_decide)
-    l = loc_sub.add_parser("number", parents=[common])
+    l = loc_sub.add_parser("number", parents=[search])
     l.add_argument("--graph", required=True)
     l.set_defaults(func=cmd_loc_number)
     l = loc_sub.add_parser("verify", parents=[common])
@@ -476,7 +457,15 @@ def main(argv=None) -> int:
         code = exc.code if isinstance(exc.code, int) else 1
         return 0 if code == 0 else 3
     try:
-        return args.func(args)
+        art, code = args.func(args)
+        if art is not None:
+            text = art if isinstance(art, str) else (
+                json.dumps(art, sort_keys=True, indent=2) + "\n")
+            if args.out:
+                Path(args.out).write_text(text)
+            else:
+                sys.stdout.write(text)
+        return code
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -258,6 +258,8 @@ def localization_number(G: Graph, budget: Budget | None = None) -> LocNumberResu
     """Least k with a cop win; scans loc_decide upward. Diameter-2 Moore
     graphs with k >= 5 are answered from the structural range [k-1, k]
     without attempting the (infeasible) decision."""
+    if G.n == 0:
+        raise ValueError("empty graph")
     mk = is_moore_diam2(G)
     if mk is not None and mk >= 5:
         return LocNumberResult(mk - 1, mk, False, "moore-range")
@@ -288,12 +290,11 @@ class UnhandledBeliefError(Exception):
 class ConstantStrategy:
     """Places the same cops every round; baseline for the verifier."""
 
-    def __init__(self, placement, tag: str = "static") -> None:
+    def __init__(self, placement) -> None:
         self.placement = tuple(sorted(placement))
-        self.tag = tag
 
     def decide(self, prev_class=None):
-        return self.placement, self.tag
+        return self.placement, "static"
 
 
 class MooreStrategy:
@@ -319,7 +320,7 @@ class MooreStrategy:
 
     def decide(self, prev_class=None) -> tuple[tuple[int, ...], str]:
         if prev_class is None:
-            return self._opening()
+            return self._probe(0, min(self.G.neighbors(0)), "init")
         C = frozenset(prev_class)
         if len(C) <= 1:
             raise ValueError("strategy queried after the robber was located")
@@ -335,29 +336,21 @@ class MooreStrategy:
             raise UnhandledBeliefError(C)
         for y in sorted(C):
             if C - {y} <= G.neighbors(y) and G.neighbors(y) - C:
-                return self._init2(y, C)
+                # The robber is on y or on C - {y} inside N(y); one neighbor
+                # of y is known clean, so replay the opening centered at y
+                # sparing it.
+                return self._probe(y, min(G.neighbors(y) - C), "init2")
         raise UnhandledBeliefError(C)
 
-    def _opening(self):
-        G, k = self.G, self.k
-        x = 0
-        nbrs = sorted(G.neighbors(x))
-        y, z = nbrs[0], nbrs[1]
+    def _probe(self, x: int, spared: int, tag: str):
+        # Cops on N(x) minus the spared neighbor, plus the least neighbor
+        # (other than x) of the least other neighbor of x.
+        G = self.G
+        z = min(G.neighbors(x) - {spared})
         w = min(G.neighbors(z) - {x})
-        P = tuple(sorted((G.neighbors(x) - {y}) | {w}))
-        assert len(P) == k  # w is at distance 2 from x, so it is a fresh cop
-        return P, "init"
-
-    def _init2(self, y: int, C: frozenset):
-        # The robber is on y or on C - {y} inside N(y); one neighbor of y is
-        # known clean, so replay the opening centered at y sparing it.
-        G, k = self.G, self.k
-        u0 = min(G.neighbors(y) - C)
-        z2 = min(G.neighbors(y) - {u0})
-        w2 = min(G.neighbors(z2) - {y})
-        P = tuple(sorted((G.neighbors(y) - {u0}) | {w2}))
-        assert len(P) == k
-        return P, "init2"
+        P = tuple(sorted((G.neighbors(x) - {spared}) | {w}))
+        assert len(P) == self.k  # w is at distance 2 from x: a fresh cop
+        return P, tag
 
     def _middle(self, u: int, A: frozenset):
         # Stage alpha = k - |A|: cops on A minus its least vertex v, plus

@@ -185,13 +185,13 @@ def graph_to_json_dict(G: Graph) -> dict:
     return out
 
 
-def graph_from_json_dict(data: dict, name: str | None = None) -> Graph:
+def graph_from_json_dict(data: dict) -> Graph:
     if not (isinstance(data, dict) and isinstance(data.get("edges"), list)
             and all(isinstance(e, list) for e in data["edges"])
             and isinstance(data.get("labels") or [], list)):
         raise ValueError("a graph artifact is an object with n, a list of "
                          "[u, v] edges and optional labels")
-    return Graph(data["n"], data["edges"], labels=data.get("labels"), name=name)
+    return Graph(data["n"], data["edges"], labels=data.get("labels"))
 
 
 _DIGIT_FLAGS = bytes.maketrans(b"01", b"\0\1")  # bin() digits as bytes 0, 1

@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -329,6 +330,11 @@ def test_invalid_inputs_exit_3(tmp_path, capsys):
     assert run(capsys, "hyper", "convert", "--direction", "to-hypergraph",
                "--k", "2", "--n", "6")[0] == 3  # missing --set
     assert run(capsys, "loc", "decide", "--graph", "c5", "--cops", "-1")[0] == 3
+    assert run(capsys, "loc", "verify", "--graph", "petersen", "--strategy",
+               "static", "--set", "0,1,2", "--max-rounds", "-5")[0] == 3
+    empty = tmp_path / "empty.json"
+    empty.write_text('{"n": 0, "edges": []}')
+    assert run(capsys, "loc", "number", "--graph", str(empty))[0] == 3
     # malformed graph artifacts: wrong types are refused, not crashed on
     for body in ('{"n": "5", "edges": []}', '{"n": 2.0, "edges": []}',
                  '{"n": 3, "edges": [[0, 1.5]]}', '{"n": 3, "edges": [["0", "1"]]}',
@@ -380,6 +386,7 @@ GOLDEN = Path(__file__).parent / "golden"
      ["md", "exact", "--graph", "hs", "--budget-nodes", "20000"]),
     ("md_exact_er_5.json", ["md", "exact", "--graph", "er:5"]),
     ("md_exact_kneser_2_8.json", ["md", "exact", "--graph", "kneser:2:8"]),
+    ("md_construct_hs.json", ["md", "construct", "--graph", "hs"]),
 ])
 def test_md_artifacts_match_golden(capsys, golden, argv):
     code, out, _ = run(capsys, *argv)
@@ -399,8 +406,114 @@ def test_md_artifacts_match_golden(capsys, golden, argv):
     # zeta(K(2,7)) = 4: localization_number scans k upward under S_7
     ("loc_number_kneser_2_7.json",
      ["loc", "number", "--graph", "kneser:2:7", "--budget-nodes", "100000000"]),
+    # the staged strategy on HS: captured in 4 rounds
+    ("loc_verify_hs.json", ["loc", "verify", "--graph", "hs"]),
 ])
 def test_loc_artifacts_match_golden(capsys, golden, argv):
     code, out, _ = run(capsys, *argv)
     assert code == (1 if "static" in argv else 0)
     assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize("golden, argv", [
+    ("graph_build_petersen_stats.json",
+     ["graph", "build", "--graph", "petersen", "--stats"]),
+    ("graph_export_c5.dot", ["graph", "export", "--graph", "c5", "--format", "dot"]),
+    ("hyper_detect_six_cycle_kprime_3.json",
+     ["hyper", "detect", "--n", "6", "--edges", SIX_CYCLE_EDGES, "--kprime", "3"]),
+    ("hyper_gadget_k_2_regularity_3.json",
+     ["hyper", "gadget", "--k", "2", "--regularity", "3"]),
+    ("hyper_cover_k_2_n_10.json", ["hyper", "cover", "--k", "2", "--n", "10"]),
+    ("bounds_report_moore_k_7_beta_11_zeta_6_7.json",
+     ["bounds", "report", "--family", "moore", "--k", "7", "--beta", "11",
+      "--zeta", "6:7"]),
+])
+def test_graph_hyper_bounds_artifacts_match_golden(tmp_path, capsys, golden, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+    out_file = tmp_path / "artifact"
+    assert main(argv + ["--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_file.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+# one valid command per verb; the first six search and take budget flags
+SEARCHING = [
+    ["hyper", "detect", "--n", "6", "--edges", SIX_CYCLE_EDGES, "--kprime", "3"],
+    ["hyper", "gadget", "--k", "2"],
+    ["hyper", "cover", "--k", "2", "--n", "10"],
+    ["md", "exact", "--graph", "petersen"],
+    ["loc", "decide", "--graph", "petersen", "--cops", "3"],
+    ["loc", "number", "--graph", "petersen"],
+]
+NOT_SEARCHING = [
+    ["graph", "build", "--graph", "c5"],
+    ["graph", "export", "--graph", "c5", "--format", "dot"],
+    ["hyper", "girth", "--n", "6", "--edges", SIX_CYCLE_EDGES],
+    ["hyper", "certify", "--n", "3", "--edges", TRIANGLE_EDGES, "--kprime", "2"],
+    ["hyper", "convert", "--direction", "to-hypergraph", "--k", "2", "--n", "6",
+     "--set", "12,16,23,34,45,56"],
+    ["md", "verify", "--graph", "petersen", "--set", "0,1"],
+    ["md", "greedy", "--graph", "c5"],
+    ["md", "construct", "--graph", "petersen"],
+    ["loc", "verify", "--graph", "petersen", "--strategy", "static", "--set", "0,1"],
+    ["bounds", "report", "--family", "moore", "--k", "7"],
+]
+
+
+def test_budget_flags_sit_on_exactly_the_searching_verbs():
+    from locdim.cli import build_parser
+
+    def leaves(parser, path=()):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, child in action.choices.items():
+                    yield from leaves(child, path + (name,))
+        if not any(isinstance(a, argparse._SubParsersAction)
+                   for a in parser._actions):
+            yield path, parser
+
+    flags = {path: [o for a in p._actions for o in a.option_strings
+                    if o.startswith("--budget")]
+             for path, p in leaves(build_parser())}
+    assert len(flags) == len(SEARCHING) + len(NOT_SEARCHING) == 16
+    assert {path for path, f in flags.items() if f} == {
+        tuple(argv[:2]) for argv in SEARCHING}
+    assert sum(len(f) for f in flags.values()) == 12
+
+
+@pytest.mark.parametrize("argv", SEARCHING, ids=lambda a: " ".join(a[:2]))
+def test_searching_verbs_exit_2_on_a_tiny_node_budget(capsys, argv):
+    code, out, err = run(capsys, *argv, "--budget-nodes", "1")
+    assert code == 2
+    if argv[0] == "hyper":
+        assert out == "" and "budget exhausted" in err
+    else:  # md and loc report the open interval or "unknown" in the artifact
+        assert json.loads(out)
+
+
+@pytest.mark.parametrize("argv", NOT_SEARCHING, ids=lambda a: " ".join(a[:2]))
+def test_other_verbs_reject_budget_flags(capsys, argv):
+    assert run(capsys, *argv)[0] in (0, 1)
+    for flag, value in (("--budget-nodes", "1"), ("--budget-seconds", "1")):
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 3 and out == ""
+        assert "unrecognized arguments" in err
+
+
+@pytest.mark.parametrize("argv", SEARCHING + NOT_SEARCHING,
+                         ids=lambda a: " ".join(a[:2]))
+def test_handlers_return_their_artifact_and_write_nothing(tmp_path, capsys, argv):
+    from locdim.cli import build_parser
+    out_file = tmp_path / "artifact"
+    args = build_parser().parse_args(argv + ["--out", str(out_file)])
+    art, code = args.func(args)
+    assert capsys.readouterr() == ("", "")
+    assert not out_file.exists()
+    assert isinstance(art, str if "dot" in argv else dict)
+    assert code in (0, 1)
+    assert main(argv + ["--out", str(out_file)]) == code
+    text = out_file.read_text()
+    assert text == (art if isinstance(art, str)
+                    else json.dumps(art, sort_keys=True, indent=2) + "\n")

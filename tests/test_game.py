@@ -201,6 +201,12 @@ def test_loc_decide_trivia():
         L.loc_decide(L.Graph(0, []), 1)
 
 
+def test_localization_number_rejects_the_empty_graph():
+    with pytest.raises(ValueError, match="empty graph"):
+        L.localization_number(L.Graph(0, []))
+    assert L.localization_number(L.Graph(1, [])).value == 0
+
+
 def test_loc_decide_default_scope_guard():
     G = L.kneser_graph(2, 6)  # 15 vertices, above the default n cap
     d = L.loc_decide(G, 2)
