@@ -193,6 +193,9 @@ def cmd_hyper_gadget(args):
 def cmd_hyper_cover(args):
     from . import Hypergraph, is_resolving, kneser_resolving_cover
     if args.gadget:
+        if (args.budget_nodes, args.budget_seconds) != (None, None):
+            raise ValueError("--budget-nodes and --budget-seconds cap the gadget "
+                             "search, which --gadget skips")
         data = json.loads(Path(args.gadget).read_text())
         H = Hypergraph.from_json_dict(data)
     else:

@@ -5,6 +5,13 @@ itself; for prime powers it encodes the coefficient vector of the residue
 polynomial in base p (little-endian), reduced by a fixed irreducible
 polynomial. Full addition/multiplication tables are precomputed, so all
 arithmetic is table lookups.
+
+ER(q) is built line by line, straight into adjacency masks: a point's
+neighbours are the points of its polar line. It carries generators of a
+group of collineations that keep the polarity (the coordinate swap
+(x0 x1), the 3-cycle of the coordinates, the negation of x0 for odd q and
+the Frobenius map for q = p^d, d > 1), which the game solver's symmetry
+pruning reads.
 """
 
 from __future__ import annotations
@@ -148,11 +155,11 @@ def gf(q: int) -> Field:
 
 
 def normalize_point(field: Field, coords: tuple[int, int, int]) -> tuple[int, int, int]:
-    if all(c == 0 for c in coords):
+    lead = next(filter(None, coords), 0)
+    if not lead:
         raise ValueError("the zero triple is not a projective point")
-    lead = next(c for c in coords if c != 0)
-    scale = field.inv(lead)
-    return tuple(field.mul(scale, c) for c in coords)
+    row = field.mul_table[field.inv(lead)]
+    return tuple(map(row.__getitem__, coords))
 
 
 def projective_points(field: Field) -> list[tuple[int, int, int]]:
@@ -175,17 +182,51 @@ class PolarityGraph:
 
 
 def er_polarity_graph(q: int) -> PolarityGraph:
-    """The orthogonal-polarity graph on the q^2+q+1 points of PG(2,q)."""
+    """The orthogonal-polarity graph on the q^2+q+1 points of PG(2,q).
+
+    Built line by line, straight into masks: the neighbours of x are the
+    q+1 points of its polar line x^⊥, minus x itself when x is absolute.
+    x's leading coordinate x_i is 1, so each point (y_j, y_k) of PG(1,q)
+    on the other two coordinates gives y_i = -(x_j y_j + x_k y_k).
+
+    The graph carries generators of a group of collineations that keep
+    the polarity (x.y = 0 implies g(x).g(y) = 0), so each is an
+    automorphism: the swap of x0 and x1, the 3-cycle (x0, x1, x2) ->
+    (x1, x2, x0), for odd q the negation of x0, and for q = p^d with
+    d > 1 the Frobenius map c -> c^p on every coordinate.
+    """
     field = gf(q)
+    add, mul, neg = field.add_table, field.mul_table, field.neg_table
     points = projective_points(field)
-    n = len(points)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if field.dot3(points[i], points[j]) == 0:
-                edges.append((i, j))
-    absolute = frozenset(i for i in range(n)
-                         if field.dot3(points[i], points[i]) == 0)
+    index = {pt: v for v, pt in enumerate(points)}
+
+    def vertex(coords) -> int:
+        return index[normalize_point(field, coords)]
+
+    pg1 = [(0, 1)] + [(1, t) for t in range(q)]
+    adj = []
+    for x in points:
+        i = x.index(1)  # the leading coordinate of a normalized point
+        j, k = (i + 1) % 3, (i + 2) % 3
+        m = 0
+        for a, b in pg1:
+            y = [0, 0, 0]
+            y[i], y[j], y[k] = neg[add[mul[x[j]][a]][mul[x[k]][b]]], a, b
+            m |= 1 << vertex(tuple(y))
+        adj.append(m)
+    absolute = frozenset(v for v, m in enumerate(adj) if m >> v & 1)
+    adj = [m & ~(1 << v) for v, m in enumerate(adj)]
+
+    maps = [lambda x: (x[1], x[0], x[2]), lambda x: (x[1], x[2], x[0])]
+    if q % 2:
+        maps.append(lambda x: (neg[x[0]], x[1], x[2]))
+    if field.deg > 1:
+        frob = list(range(q))
+        for _ in range(field.p - 1):
+            frob = [mul[f][c] for c, f in enumerate(frob)]
+        maps.append(lambda x: tuple(frob[c] for c in x))
+    gens = [tuple(vertex(g(x)) for x in points) for g in maps]
     labels = ["(" + ":".join(str(c) for c in pt) + ")" for pt in points]
-    graph = Graph(n, edges, labels=labels, name=f"ER({q})")
+    graph = Graph.__new__(Graph)
+    graph._init_masks(adj, labels, f"ER({q})", gens)
     return PolarityGraph(graph=graph, q=q, absolute=absolute, points=tuple(points))

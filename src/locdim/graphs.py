@@ -6,8 +6,8 @@ Hoffman-Singleton graph) carry them in ``labels``; adjacency logic never
 looks at labels, so one engine serves every family. A graph stores its masks
 and symmetry generators; edges, the group and every distance are derived,
 the distances from one form: ``Graph.distance_layers``, a partition of V by
-distance from a vertex. Kneser graphs are built and hashed straight from the
-masks, never as an edge list.
+distance from a vertex. Kneser graphs (and ER(q), in ``fields``) are built
+and hashed straight from the masks, never as an edge list.
 """
 
 from __future__ import annotations

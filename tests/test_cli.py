@@ -335,6 +335,11 @@ def test_invalid_inputs_exit_3(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text('{"n": 0, "edges": []}')
     assert run(capsys, "loc", "number", "--graph", str(empty))[0] == 3
+    # a given gadget means no search, so a budget flag would select nothing
+    gadget = str(GOLDEN / "hyper_gadget_k_2_regularity_3.json")
+    for flag, value in (("--budget-nodes", "1"), ("--budget-seconds", "5")):
+        assert run(capsys, "hyper", "cover", "--k", "2", "--n", "30",
+                   "--gadget", gadget, flag, value)[0] == 3
     # malformed graph artifacts: wrong types are refused, not crashed on
     for body in ('{"n": "5", "edges": []}', '{"n": 2.0, "edges": []}',
                  '{"n": 3, "edges": [[0, 1.5]]}', '{"n": 3, "edges": [["0", "1"]]}',
@@ -408,6 +413,13 @@ def test_md_artifacts_match_golden(capsys, golden, argv):
      ["loc", "number", "--graph", "kneser:2:7", "--budget-nodes", "100000000"]),
     # the staged strategy on HS: captured in 4 rounds
     ("loc_verify_hs.json", ["loc", "verify", "--graph", "hs"]),
+    # zeta(ER(3)) = 3; generated before ER(q) carried its collineations
+    ("loc_number_er_3.json",
+     ["loc", "number", "--graph", "er:3", "--budget-nodes", "100000000"]),
+    # the collineations of ER(3), 24 elements, prune beliefs and placements
+    ("loc_decide_er_3_cops_3.json",
+     ["loc", "decide", "--graph", "er:3", "--cops", "3",
+      "--budget-nodes", "100000000"]),
 ])
 def test_loc_artifacts_match_golden(capsys, golden, argv):
     code, out, _ = run(capsys, *argv)

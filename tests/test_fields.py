@@ -129,3 +129,35 @@ def test_er_adjacency_is_orthogonality():
     # absolute points are exactly the self-orthogonal ones
     for i, pt in enumerate(P.points):
         assert (F.dot3(pt, pt) == 0) == (i in P.absolute)
+
+
+# |group| of the polarity-preserving collineations ER(q) carries: S_3 on the
+# coordinates, times sign changes for odd q, times Frobenius for q = p^d
+ER_GROUP_ORDERS = {2: 6, 3: 24, 4: 12, 5: 24, 7: 24, 8: 18, 9: 48, 11: 24, 16: 24}
+
+
+@pytest.mark.parametrize("q", (2, 3, 4, 5, 7, 8, 9))
+def test_er_generators_fix_the_absolute_points(q):
+    P = L.er_polarity_graph(q)
+    assert len(P.graph.generators) == 2 + q % 2 + (L.gf(q).deg > 1)
+    for sig in P.graph.generators:
+        assert {sig[v] for v in P.absolute} == P.absolute
+    assert len(L.automorphism_group(P.graph)) == ER_GROUP_ORDERS[q]
+
+
+@pytest.mark.parametrize("q", sorted(ER_GROUP_ORDERS))
+def test_er_masks_match_all_pairs_orthogonality(q):
+    P = L.er_polarity_graph(q)
+    F = L.gf(q)
+
+    def dot(u, v):
+        acc = 0
+        for a, b in zip(u, v):
+            acc = F.add(acc, F.mul(a, b))
+        return acc
+
+    pts = P.points
+    edges = [(i, j) for i in range(len(pts)) for j in range(i + 1, len(pts))
+             if dot(pts[i], pts[j]) == 0]
+    assert P.graph.adj == L.Graph(len(pts), edges).adj
+    assert P.absolute == {i for i, x in enumerate(pts) if dot(x, x) == 0}

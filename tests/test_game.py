@@ -84,8 +84,8 @@ PINNED_DECISIONS = [
     ("c5", 2, "cop-win", 1, 2),
     ("kneser:2:6", 2, "robber-win", 5, 74),
     ("kneser:2:6", 3, "cop-win", 5, 235),
-    ("er:3", 2, "robber-win", 329, 25662),
-    ("er:3", 3, "cop-win", 275, 78650),
+    ("er:3", 2, "robber-win", 37, 1345),
+    ("er:3", 3, "cop-win", 32, 3787),
     ("kneser:2:7", 3, "robber-win", 6, 387),
     ("kneser:2:7", 4, "cop-win", 5, 1017),
 ]
@@ -95,6 +95,17 @@ PINNED_DECISIONS = [
 def test_loc_decide_pinned_counts(spec, k, result, beliefs, placements):
     G = resolve_graph_spec(spec)[0]
     d = L.loc_decide(G, k, budget=L.Budget(max_nodes=10**8))
+    assert (d.result, d.beliefs, d.placements) == (result, beliefs, placements)
+
+
+# ER(3) without its collineations: the unpruned search's counts
+@pytest.mark.parametrize("k,result,beliefs,placements", [
+    (2, "robber-win", 329, 25662),
+    (3, "cop-win", 275, 78650),
+])
+def test_loc_decide_pinned_counts_without_generators(k, result, beliefs, placements):
+    G = L.er_polarity_graph(3).graph
+    d = L.loc_decide(L.Graph(G.n, G.edges), k, budget=L.Budget(max_nodes=10**8))
     assert (d.result, d.beliefs, d.placements) == (result, beliefs, placements)
 
 
@@ -175,6 +186,8 @@ def test_loc_decide_symmetry_pruning_changes_nothing():
     cases = [(L.cycle_graph(n), k) for n in range(4, 10) for k in (1, 2, 3)]
     cases += [(L.petersen(), k) for k in (1, 2, 3)]
     cases += [(L.kneser_graph(2, 6), k) for k in (2, 3)]  # S_6, 720 elements
+    cases += [(L.er_polarity_graph(2).graph, k) for k in (1, 2)]
+    cases += [(L.er_polarity_graph(3).graph, k) for k in (2, 3)]  # 24 elements
     for G, k in cases:
         # K(2,6) has 15 vertices, above DEFAULT_MAX_N, so it needs a budget
         budget = L.Budget(max_nodes=10**8) if G.n > game.DEFAULT_MAX_N else None
