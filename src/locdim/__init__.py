@@ -17,12 +17,11 @@ _HOMES = {
              "probe_partition", "spread", "verify_strategy"),
     "graphs": ("Graph", "automorphism_group", "cycle_graph",
                "graph_from_json_dict", "graph_girth", "graph_hash",
-               "graph_to_dot", "graph_to_json_dict", "has_c4",
-               "hoffman_singleton", "is_moore_diam2", "kneser_graph",
-               "kneser_vertex_index", "kneser_vertex_subsets", "petersen"),
-    "hypergraphs": ("DegreeCheckReport", "DetectResult", "Detection",
-                    "GadgetSearchResult", "Hypergraph", "berge_girth",
-                    "certify_detectable", "check_degree_properties",
+               "graph_to_dot", "graph_to_json_dict", "hoffman_singleton",
+               "is_moore_diam2", "kneser_graph", "kneser_vertex_index",
+               "kneser_vertex_subsets", "petersen"),
+    "hypergraphs": ("DetectResult", "Detection", "GadgetSearchResult",
+                    "Hypergraph", "berge_girth", "certify_detectable",
                     "default_regularity", "detection_vector",
                     "hypergraph_to_resolving", "is_detectable",
                     "kneser_resolving_cover", "resolving_to_hypergraph",

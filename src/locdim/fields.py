@@ -137,13 +137,6 @@ class Field:
             raise ZeroDivisionError("0 has no inverse")
         return self.inv_table[a]
 
-    def dot3(self, u, v) -> int:
-        """Dot product of coordinate triples, as a table-level operation."""
-        acc = 0
-        for a, b in zip(u, v):
-            acc = self.add_table[acc][self.mul_table[a][b]]
-        return acc
-
     def __repr__(self) -> str:
         return f"GF({self.q})"
 

@@ -85,8 +85,9 @@ class Graph:
     def dist(self, u: int, v: int) -> int:
         """The distance from u to v, UNREACHABLE when no path joins them;
         read from ``distance_layers(u)`` on each call."""
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} outside 0..{self.n - 1}")
+        for w in (u, v):
+            if not 0 <= w < self.n:
+                raise IndexError(f"vertex {w} outside 0..{self.n - 1}")
         *layers, _ = self.distance_layers(u)
         return next((d for d, m in enumerate(layers) if m >> v & 1), UNREACHABLE)
 
@@ -173,6 +174,58 @@ def automorphism_group(G: Graph) -> list[tuple[int, ...]] | None:
                 seen.add(img)
                 group.append(img)
     return group
+
+
+def orbit_reps(gens, n: int) -> list[int]:
+    """The least vertex of each vertex's orbit under the group that the
+    permutations ``gens`` of 0..n-1 generate: union-find over the
+    generators, each root the least of its class."""
+    rep = list(range(n))
+
+    def find(v: int) -> int:
+        while rep[v] != v:
+            rep[v] = rep[rep[v]]  # path halving
+            v = rep[v]
+        return v
+
+    for g in gens:
+        for v, w in enumerate(g):
+            a, b = find(v), find(w)
+            if a != b:
+                rep[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
+
+
+def point_stabilizer(gens, n: int, x: int) -> list[tuple[int, ...]]:
+    """Generators of the stabilizer of x in the group that ``gens``
+    generate; empty when it is trivial. The group is never enumerated.
+
+    A BFS over x's orbit gives, per orbit point y, a transversal element
+    u_y with u_y(x) = y. The Schreier generators u_{g(y)}^-1 g u_y, over
+    orbit points y and generators g, generate the stabilizer (Seress,
+    *Permutation Group Algorithms*, 2003, Lemma 4.2.1). A Sims filter keeps
+    at most one element per (first moved point p, image of p): an element
+    whose key is taken is divided by the holder, which fixes p too, and
+    sifted on; one reduced to the identity is dropped.
+    """
+    orbit, transversal = [x], {x: tuple(range(n))}
+    for y in orbit:  # grows while it is walked
+        for g in gens:
+            if g[y] not in transversal:
+                transversal[g[y]] = tuple(map(g.__getitem__, transversal[y]))
+                orbit.append(g[y])
+    undo = {y: sorted(range(n), key=u.__getitem__) for y, u in transversal.items()}
+    table = {}  # (p, s[p]) -> (s, s^-1)
+    for y, u in transversal.items():
+        for g in gens:
+            back = undo[g[y]]
+            s = tuple(back[g[i]] for i in u)
+            while (p := next((i for i, w in enumerate(s) if i != w), None)) is not None:
+                if (p, s[p]) not in table:
+                    table[p, s[p]] = s, sorted(range(n), key=s.__getitem__)
+                    break
+                s = tuple(map(table[p, s[p]][1].__getitem__, s))  # fixes 0..p
+    return [s for s, _ in table.values()]
 
 
 # -- serialization ------------------------------------------------------------
@@ -269,13 +322,6 @@ def graph_girth(G: Graph) -> int | float:
     return best
 
 
-def has_c4(G: Graph) -> bool:
-    """True iff some pair of vertices has at least two common neighbors."""
-    adj = G.adj
-    return any((adj[u] & adj[v]).bit_count() >= 2
-               for u in range(G.n) for v in range(u + 1, G.n))
-
-
 def is_moore_diam2(G: Graph) -> int | None:
     """The degree k when G is k-regular of diameter 2, girth 5, order k^2+1."""
     k = G.regularity()
@@ -303,9 +349,10 @@ def cycle_graph(n: int) -> Graph:
 
 
 # Kneser graphs up to this n carry generators of the S_n action. Above it the
-# group is too large: ``loc_decide`` enumerates all n! elements
-# (``automorphism_group``) and keeps a table of |V|^2 masks of n! bits each,
-# which for K(4,8) would be 40,320 tuples and 4,900 masks of 5 KB.
+# group is too large for ``loc_decide``, the one caller that enumerates it:
+# it lists all n! elements (``automorphism_group``) and keeps a table of
+# |V|^2 masks of n! bits each, which for K(4,8) would be 40,320 tuples and
+# 4,900 masks of 5 KB. ``metric_dimension`` reads only the generators.
 _KNESER_AUTOMORPHISM_MAX_N = 7
 
 

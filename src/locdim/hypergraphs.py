@@ -200,52 +200,6 @@ def certify_detectable(H: Hypergraph, kprime: int) -> bool:
     return berge_girth(H) >= 5
 
 
-# -- degree-sum necessary conditions --------------------------------------------
-
-
-@dataclass(frozen=True)
-class DegreeViolation:
-    u: int
-    v: int
-    adjacent: bool
-    degree_sum: int
-    required: int
-
-
-@dataclass(frozen=True)
-class DegreeCheckReport:
-    k: int
-    violations: tuple[DegreeViolation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def check_degree_properties(H: Hypergraph, k: int) -> DegreeCheckReport:
-    """Necessary conditions for k-detectability: every non-adjacent vertex
-    pair needs hyperedge-degree sum >= k, every adjacent pair >= k + 2
-    (adjacent means sharing a hyperedge)."""
-    if any(len(e) == 1 for e in H.edges):
-        raise ValueError("singleton hyperedges are not supported here")
-    if H.n < 3 * k:
-        raise ValueError(f"conditions require n >= 3k, got n={H.n}, k={k}")
-    deg = (0,) + H.degrees()
-    adjacent = set()
-    for e in H.edges:
-        for a, b in combinations(e, 2):
-            adjacent.add((a, b))
-    violations = []
-    for u in range(1, H.n + 1):
-        for v in range(u + 1, H.n + 1):
-            adj = (u, v) in adjacent
-            required = k + 2 if adj else k
-            s = deg[u] + deg[v]
-            if s < required:
-                violations.append(DegreeViolation(u, v, adj, s, required))
-    return DegreeCheckReport(k=k, violations=tuple(violations))
-
-
 # -- conversions between detectable hypergraphs and Kneser resolving sets -------
 
 

@@ -8,7 +8,9 @@ covers vertex pairs with one pair-bit mask per landmark, built a block of
 pairs at a time from those layers. A child's uncovered pairs are a subset
 of its parent's, so the counts a node takes for its landmarks bound those at
 every child from above, and children are pruned against them before they
-are entered.
+are entered. A graph's generators prune symmetric siblings by orbital
+branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Programming 126,
+2011); each node's group is carried as stabilizer generators, never listed.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .budget import Budget, BudgetExceededError
-from .graphs import Graph, bits, graph_hash, is_moore_diam2
+from .graphs import (Graph, bits, graph_hash, is_moore_diam2, orbit_reps,
+                     point_stabilizer)
 
 if TYPE_CHECKING:
     from .fields import PolarityGraph
@@ -189,8 +192,12 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
     some unbanned landmark separates more than ceil(R / (|best| - d - 1)) - 1
     of them. Only the landmarks whose count at the parent exceeds that are
     recounted on the child's pairs, largest first, up to the first that
-    still does. Most nodes end there. Every node, open or not, is one
-    ``budget.spend()``, in depth-first order."""
+    still does. Most nodes end there. A child whose landmark shares an orbit
+    with an earlier sibling's, under the group that fixes the node's
+    landmarks and bans, is banned and skipped: each resolving set below it
+    maps to one below that sibling, so the first least set in depth-first
+    order is kept. Every other node, open or not, is one ``budget.spend()``,
+    in depth-first order; skipped symmetric siblings are not charged."""
     if budget is None:
         budget = Budget(max_nodes=DEFAULT_MD_BUDGET)
     n = G.n
@@ -206,11 +213,14 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
 
     best = list(incumbent)
 
-    def expand(chosen: list[int], covered: int, pool: list[int]) -> None:
+    def expand(chosen: list[int], covered: int, pool: list[int], gens) -> None:
         """Branch an open node on its lowest uncovered pair. ``pool`` holds,
         ascending, the landmarks not banned here that separate some
-        uncovered pair. Each child is charged and bounded here, from the
-        counts of this node; only the open ones recurse."""
+        uncovered pair; ``gens`` generate the pointwise stabilizer of
+        ``chosen`` and of the landmarks banned above. Each child is charged
+        and bounded here, from the counts of this node; only the open ones
+        recurse, each under the stabilizer of its landmark and its earlier
+        siblings."""
         nonlocal best
         remaining = full ^ covered
         counts = [(masks[u] & remaining).bit_count() for u in pool]
@@ -218,9 +228,18 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
         pair_bit = remaining & -remaining
         depth = len(chosen) + 1
         banned = 0  # the earlier siblings, as a vertex mask
+        reps = orbit_reps(gens, n) if gens else None
+        seen = set()  # the orbits of the earlier siblings
+        unfixed = []  # earlier siblings that gens may move
         for v in pool:
             if not masks[v] & pair_bit:
                 continue
+            if reps is not None:
+                unfixed.append(v)
+                if reps[v] in seen:  # symmetric to an earlier sibling
+                    banned |= 1 << v
+                    continue
+                seen.add(reps[v])
             budget.spend()
             child = covered | masks[v]
             if child == full:
@@ -237,9 +256,11 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
                         break
                     u = pool[i]
                     if not banned >> u & 1 and (masks[u] & left).bit_count() > cap:
+                        while unfixed and gens:  # stabilize them and v
+                            gens = point_stabilizer(gens, n, unfixed.pop())
                         chosen.append(v)
                         expand(chosen, child, [w for w, c in zip(pool, counts)
-                                               if c and not banned >> w & 1])
+                                               if c and not banned >> w & 1], gens)
                         chosen.pop()
                         break
             banned |= 1 << v
@@ -250,7 +271,7 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
         full = (1 << npairs) - 1
         budget.spend()  # the root, bounded like any child
         if len(best) > 1 and npairs - first_left > (npairs - 1) // (len(best) - 1):
-            expand([], 0, list(range(n)))
+            expand([], 0, list(range(n)), G.generators)
     except BudgetExceededError:
         exact = False
     landmarks = tuple(sorted(best))

@@ -9,12 +9,14 @@ kernels, and the ``image_*`` ones of the game solver's symmetry pruning,
 kept as references that the faster ones must match exactly.
 ``json_graph_hash`` is the structural hash as first defined: the whole
 edge list serialized at once. Distances come from networkx BFS
-(``distance_rows``), never from the package.
+(``distance_rows``), never from the package. ``dot3``, ``has_c4`` and
+``check_degree_properties`` are checks that only the tests call.
 """
 
 import hashlib
 import json
 import math
+from dataclasses import dataclass
 from itertools import combinations
 
 import networkx as nx
@@ -307,3 +309,61 @@ def pair_metric_dimension(G, budget):
         exact = False
     lower = len(best) if exact else lower0
     return lower, len(best), tuple(sorted(best)), exact, budget.nodes
+
+
+def dot3(F, u, v) -> int:
+    """Dot product of coordinate triples over the field F, from its tables."""
+    acc = 0
+    for a, b in zip(u, v):
+        acc = F.add_table[acc][F.mul_table[a][b]]
+    return acc
+
+
+def has_c4(G) -> bool:
+    """True iff some pair of vertices has at least two common neighbors."""
+    adj = G.adj
+    return any((adj[u] & adj[v]).bit_count() >= 2
+               for u in range(G.n) for v in range(u + 1, G.n))
+
+
+@dataclass(frozen=True)
+class DegreeViolation:
+    u: int
+    v: int
+    adjacent: bool
+    degree_sum: int
+    required: int
+
+
+@dataclass(frozen=True)
+class DegreeCheckReport:
+    k: int
+    violations: tuple
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_degree_properties(H, k: int) -> DegreeCheckReport:
+    """Necessary conditions for k-detectability: every non-adjacent vertex
+    pair needs hyperedge-degree sum >= k, every adjacent pair >= k + 2
+    (adjacent means sharing a hyperedge)."""
+    if any(len(e) == 1 for e in H.edges):
+        raise ValueError("singleton hyperedges are not supported here")
+    if H.n < 3 * k:
+        raise ValueError(f"conditions require n >= 3k, got n={H.n}, k={k}")
+    deg = (0,) + H.degrees()
+    adjacent = set()
+    for e in H.edges:
+        for a, b in combinations(e, 2):
+            adjacent.add((a, b))
+    violations = []
+    for u in range(1, H.n + 1):
+        for v in range(u + 1, H.n + 1):
+            adj = (u, v) in adjacent
+            required = k + 2 if adj else k
+            s = deg[u] + deg[v]
+            if s < required:
+                violations.append(DegreeViolation(u, v, adj, s, required))
+    return DegreeCheckReport(k=k, violations=tuple(violations))

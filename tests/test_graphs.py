@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locdim as L
-from locdim.graphs import UNREACHABLE
+from locdim.graphs import UNREACHABLE, orbit_reps, point_stabilizer
 
 from oracles import (bfs_girth, distance_rows, distance_vector_groups,
-                     first_repeated_vector, json_graph_hash, to_nx)
+                     first_repeated_vector, has_c4, json_graph_hash, to_nx)
 
 
 def corpus():
@@ -89,7 +89,7 @@ def test_hoffman_singleton_structure():
     assert HS.regularity() == 7
     assert HS.diameter() == 2
     assert L.graph_girth(HS) == 5
-    assert not L.has_c4(HS)
+    assert not has_c4(HS)
     assert HS.label_of(0) == "P0.0"
     assert HS.vertex_by_label("Q4.4") == 49
 
@@ -265,7 +265,7 @@ def test_has_c4_matches_brute_force():
             and G.adjacent(d, a)
             for a, b, c, d in __import__("itertools").permutations(range(n), 4)
             if a == min(a, b, c, d))
-        assert L.has_c4(G) == brute
+        assert has_c4(G) == brute
 
 
 def test_disconnected_distances():
@@ -273,6 +273,13 @@ def test_disconnected_distances():
     assert G.dist(0, 2) == UNREACHABLE
     assert not G.is_connected()
     assert G.diameter() == math.inf
+
+
+def test_dist_rejects_vertices_outside_the_graph():
+    C5 = L.cycle_graph(5)
+    for u, v in ((-1, 0), (5, 0), (0, -1), (0, 5)):
+        with pytest.raises(IndexError, match=r"outside 0\.\.4"):
+            C5.dist(u, v)
 
 
 def test_neighborhood_helpers():
@@ -321,3 +328,25 @@ def test_distance_axioms(G):
 def test_girth_oracle_property(G):
     adj = {v: set(G.neighbors(v)) for v in range(G.n)}
     assert L.graph_girth(G) == bfs_girth(adj)
+
+
+SYMMETRIC = [L.petersen(), *map(L.cycle_graph, range(3, 11)), L.kneser_graph(2, 6),
+             *(L.er_polarity_graph(q).graph for q in (3, 4, 5))]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_group_helpers_match_enumeration(data):
+    """Along a drawn base, each stabilizer's orbits are those of the
+    enumerated group filtered to it, and the orbit lengths multiply to |G|."""
+    for G in SYMMETRIC:
+        n, gens, group = G.n, G.generators, L.automorphism_group(G)
+        order, product = len(group), 1
+        for x in data.draw(st.permutations(range(n))):
+            reps = orbit_reps(gens, n)
+            assert reps == [min(g[v] for g in group) for v in range(n)], G
+            assert set(gens) <= set(group)
+            product *= reps.count(reps[x])
+            gens = point_stabilizer(gens, n, x)
+            group = [g for g in group if g[x] == x]
+        assert product == order and len(group) == 1 and gens == [], G

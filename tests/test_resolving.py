@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 import time
 from itertools import combinations
 
@@ -202,13 +203,64 @@ def test_search_matches_node_bound_oracle_on_random_graphs(data):
         assert_search_matches_oracle(G, cap)
 
 
+def plain(G):
+    """G without its generators, searched without symmetry as the oracle is."""
+    return L.Graph(G.n, G.edges, name=G.name)
+
+
 def test_search_matches_node_bound_oracle_on_families():
     for G in ([L.cycle_graph(k) for k in range(3, 10)]
               + [L.petersen(), L.kneser_graph(2, 7), L.kneser_graph(3, 7),
                  L.er_polarity_graph(4).graph]):
-        assert assert_search_matches_oracle(G, None).exact
-    assert not assert_search_matches_oracle(L.kneser_graph(3, 9), 2000).exact
-    assert not assert_search_matches_oracle(L.hoffman_singleton(), 20000).exact
+        assert assert_search_matches_oracle(plain(G), None).exact
+    assert not assert_search_matches_oracle(plain(L.kneser_graph(3, 9)), 2000).exact
+    assert not assert_search_matches_oracle(plain(L.hoffman_singleton()), 20000).exact
+
+
+SYMMETRIC = [L.petersen(), *map(L.cycle_graph, range(3, 11)), L.kneser_graph(2, 6),
+             L.kneser_graph(2, 7), L.er_polarity_graph(3).graph,
+             L.er_polarity_graph(4).graph]
+
+
+def relabel(G, perm):
+    """G with each vertex v renamed perm[v], its generators conjugated."""
+    gens = []
+    for g in G.generators:
+        h = [0] * G.n
+        for v, w in enumerate(g):
+            h[perm[v]] = perm[w]
+        gens.append(h)
+    return L.Graph(G.n, [(perm[u], perm[v]) for u, v in G.edges], generators=gens)
+
+
+def assert_symmetry_moves_only_nodes(G):
+    res, base = L.metric_dimension(G), L.metric_dimension(plain(G))
+    assert ((res.lower, res.upper, res.landmarks, res.exact)
+            == (base.lower, base.upper, base.landmarks, base.exact)), G
+    assert res.nodes <= base.nodes, G
+
+
+def test_orbital_branching_moves_only_nodes_on_families():
+    for G in SYMMETRIC:
+        assert G.generators
+        assert_symmetry_moves_only_nodes(G)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_orbital_branching_moves_only_nodes_on_relabelled_families(data):
+    G = data.draw(st.sampled_from(SYMMETRIC))
+    assert_symmetry_moves_only_nodes(relabel(G, data.draw(st.permutations(range(G.n)))))
+
+
+def test_er5_closes_under_30000_nodes_and_never_enumerates_the_group(monkeypatch):
+    def enumerate_group(G):
+        raise AssertionError("the search enumerated the group")
+    for name, module in list(sys.modules.items()):
+        if name.startswith("locdim") and hasattr(module, "automorphism_group"):
+            monkeypatch.setattr(module, "automorphism_group", enumerate_group)
+    res = L.metric_dimension(L.er_polarity_graph(5).graph, L.Budget(max_nodes=30_000))
+    assert res.exact and res.value == 8
 
 
 def test_time_capped_search_stops_near_its_cap():
