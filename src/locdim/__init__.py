@@ -14,7 +14,7 @@ _HOMES = {
     "game": ("ConstantStrategy", "LocDecision", "LocNumberResult",
              "MooreStrategy", "UnhandledBeliefError", "VerificationReport",
              "loc_decide", "localization_number", "moore_strategy",
-             "probe_partition", "spread", "verify_strategy"),
+             "verify_strategy"),
     "graphs": ("Graph", "automorphism_group", "cycle_graph",
                "graph_from_json_dict", "graph_girth", "graph_hash",
                "graph_to_dot", "graph_to_json_dict", "hoffman_singleton",

@@ -28,10 +28,18 @@ class BoundEntry:
     kind: str  # "lower" | "upper"
     source: str
     value: Fraction | None
-    bound: int | None
     preconditions: tuple[str, ...] = ()
     satisfied: bool = True
     notes: str = ""
+
+    @property
+    def bound(self) -> int | None:
+        """The value rounded to the integers it allows: up for a lower bound,
+        down for an upper one; None without a value."""
+        if self.value is None:
+            return None
+        rounded = math.ceil if self.kind == "lower" else math.floor
+        return rounded(self.value)
 
     def to_json_dict(self) -> dict:
         return {
@@ -46,18 +54,12 @@ class BoundEntry:
         }
 
 
-def _lower(quantity, source, value, pre, notes="") -> BoundEntry:
-    return BoundEntry(quantity, "lower", source, value, math.ceil(value),
-                      tuple(pre), True, notes)
-
-
-def _upper(quantity, source, value, pre, notes="") -> BoundEntry:
-    return BoundEntry(quantity, "upper", source, value, math.floor(value),
-                      tuple(pre), True, notes)
+def _entry(quantity, kind, source, value, pre, notes="") -> BoundEntry:
+    return BoundEntry(quantity, kind, source, value, tuple(pre), True, notes)
 
 
 def _flagged(quantity, kind, source, pre, notes) -> BoundEntry:
-    return BoundEntry(quantity, kind, source, None, None, tuple(pre), False, notes)
+    return BoundEntry(quantity, kind, source, None, tuple(pre), False, notes)
 
 
 def _check_kneser_params(k: int, n: int) -> None:
@@ -79,7 +81,7 @@ def kneser_beta_lower(k: int, n: int) -> BoundEntry:
                         pre + ["k = 3 needs n >= 18"],
                         f"k = 3 form needs n >= 18, got n={n}")
     value = Fraction(3 * n - 1, 4) if k == 4 else Fraction(n, 2) + Fraction(n, k)
-    return _lower("beta", "kneser-beta-counting", value, pre)
+    return _entry("beta", "lower", "kneser-beta-counting", value, pre)
 
 
 def kneser_zeta_lower(k: int, n: int) -> BoundEntry:
@@ -98,7 +100,7 @@ def kneser_zeta_lower(k: int, n: int) -> BoundEntry:
         value = Fraction(3 * n - 13, 4)
     else:
         value = Fraction(n, 2) + Fraction(n, k) - Fraction(k, 2) - 1
-    return _lower("zeta", "kneser-zeta-counting", value, pre)
+    return _entry("zeta", "lower", "kneser-zeta-counting", value, pre)
 
 
 def kneser_beta_upper(k: int, n: int, m: int) -> BoundEntry:
@@ -116,9 +118,9 @@ def kneser_beta_upper(k: int, n: int, m: int) -> BoundEntry:
     pre = ["n >= 3k", "gadget is k-uniform with Berge girth >= 5"]
     if k == 2:
         return BoundEntry("beta", "upper", "kneser-cover-upper", value,
-                          math.floor(value), tuple(pre), False,
+                          tuple(pre), False,
                           "cover route stated for k >= 3; k = 2 is an extension")
-    return _upper("beta", "kneser-cover-upper", value, pre)
+    return _entry("beta", "upper", "kneser-cover-upper", value, pre)
 
 
 def moore_bounds(k: int) -> list[BoundEntry]:
@@ -129,17 +131,18 @@ def moore_bounds(k: int) -> list[BoundEntry]:
     if k <= 3:
         # pentagon and Petersen: both quantities known exactly
         return [
-            _lower("beta", "moore-exact-small", Fraction(k), pre),
-            _upper("beta", "moore-exact-small", Fraction(k), pre),
-            _lower("zeta", "moore-exact-small", Fraction(k), pre),
-            _upper("zeta", "moore-exact-small", Fraction(k), pre),
+            _entry("beta", "lower", "moore-exact-small", Fraction(k), pre),
+            _entry("beta", "upper", "moore-exact-small", Fraction(k), pre),
+            _entry("zeta", "lower", "moore-exact-small", Fraction(k), pre),
+            _entry("zeta", "upper", "moore-exact-small", Fraction(k), pre),
         ]
     return [
-        _lower("beta", "moore-beta-lower", Fraction(k), pre),
-        _upper("beta", "moore-neighborhood-upper", Fraction(2 * k - 3), pre,
+        _entry("beta", "lower", "moore-beta-lower", Fraction(k), pre),
+        _entry("beta", "upper", "moore-neighborhood-upper",
+               Fraction(2 * k - 3), pre,
                "two adjacent neighborhoods minus three vertices resolve"),
-        _lower("zeta", "moore-zeta-range", Fraction(k - 1), pre),
-        _upper("zeta", "moore-zeta-range", Fraction(k), pre,
+        _entry("zeta", "lower", "moore-zeta-range", Fraction(k - 1), pre),
+        _entry("zeta", "upper", "moore-zeta-range", Fraction(k), pre,
                "staged k-cop strategy; k - 2 cops provably lose"),
     ]
 
@@ -152,16 +155,17 @@ def polarity_bounds(q: int) -> list[BoundEntry]:
     entries = []
     raw_beta = 2 * q - 5
     note = "clamped to 1" if raw_beta < 1 else ""
-    entries.append(_lower("beta", "polarity-beta-lower",
+    entries.append(_entry("beta", "lower", "polarity-beta-lower",
                           Fraction(max(1, raw_beta)), pre, note))
-    entries.append(_upper("beta", "polarity-neighborhood-upper",
+    entries.append(_entry("beta", "upper", "polarity-neighborhood-upper",
                           Fraction(2 * q - 1), pre,
                           "two adjacent neighborhoods resolve"))
     zeta_raw = Fraction(2 * q - 5, 3)
     clamped = max(Fraction(1), zeta_raw)
     note = "clamped to 1" if zeta_raw < 1 else ""
-    entries.append(_lower("zeta", "polarity-zeta-lower", clamped, pre, note))
-    entries.append(_upper("zeta", "zeta-from-beta-upper",
+    entries.append(_entry("zeta", "lower", "polarity-zeta-lower", clamped,
+                          pre, note))
+    entries.append(_entry("zeta", "upper", "zeta-from-beta-upper",
                           Fraction(2 * q - 1), pre,
                           "zeta never exceeds beta"))
     return entries

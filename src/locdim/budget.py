@@ -19,6 +19,9 @@ class Budget:
 
     def __init__(self, max_nodes: int | None = None,
                  max_seconds: float | None = None) -> None:
+        for name, cap in (("max_nodes", max_nodes), ("max_seconds", max_seconds)):
+            if cap is not None and not cap >= 0:  # NaN fails every comparison
+                raise ValueError(f"{name} must be >= 0, got {cap!r}")
         self.max_nodes = max_nodes
         self.max_seconds = max_seconds
         self.nodes = 0

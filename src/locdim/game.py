@@ -5,6 +5,10 @@ round the cops place, the observed distance vector refines the belief to one
 observation class, and (if that class is not a singleton) the robber moves,
 spreading the class to the union of its closed neighborhoods. Capture means
 a refined class is a singleton.
+
+Beliefs and classes are vertex masks throughout (vertex v is bit v, as in
+``Graph.adj``): the solver's beliefs and the strategy it returns, the
+verifier's classes, and the class a strategy's ``decide`` receives.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from itertools import combinations
 from .budget import Budget, BudgetExceededError
 from .graphs import (UNREACHABLE, Graph, automorphism_group, bits, graph_hash,
                      is_moore_diam2)
-from .resolving import greedy_resolving
+from .resolving import _least, greedy_resolving
 
 # Budget units: |belief| x cops for every placement evaluated.
 DEFAULT_LOC_BUDGET = 5 * 10**7
@@ -45,19 +49,6 @@ def _split(cop_layers, b: int) -> dict[tuple[int, ...], int]:
         cells = {vec + (d,): c & m for vec, c in cells.items()
                  for d, m in keyed if c & m}
     return cells
-
-
-def spread(G: Graph, B) -> frozenset:
-    """Union of closed neighborhoods: where the robber may be after moving."""
-    return frozenset(bits(_spread(G.adj, sum(1 << v for v in frozenset(B)))))
-
-
-def probe_partition(G: Graph, P, B) -> dict[tuple[int, ...], frozenset]:
-    """Partition of the belief by the distance vector each candidate would
-    produce against the placement, UNREACHABLE (-1) where a cop does not
-    reach it."""
-    cells = _split(map(G.distance_layers, P), sum(1 << v for v in frozenset(B)))
-    return {vec: frozenset(bits(c)) for vec, c in cells.items()}
 
 
 class _Memo(dict):
@@ -144,10 +135,9 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
     stabilizer; pruning only removes isomorphic branches, so the outcome
     is schedule-independent.
 
-    Internally beliefs and observation classes are int bitmasks (vertex v is
-    bit v, as in ``Graph.adj``), spread by ``_spread`` and split by
-    ``_split`` like the frozensets of ``spread`` and ``probe_partition``;
-    the returned strategy maps frozenset beliefs to placements.
+    Beliefs and observation classes are vertex masks, spread by ``_spread``
+    and split by ``_split``. The returned strategy maps each winning belief
+    mask (canonical when G carries generators) to its placement.
     """
     n = G.n
     if n == 0:
@@ -155,7 +145,7 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
     if k < 0:
         raise ValueError(f"cop count must be >= 0, got {k}")
     if n == 1:
-        return LocDecision("cop-win", k, strategy={frozenset({0}): ()})
+        return LocDecision("cop-win", k, strategy={1: ()})
     if k < 1:
         return LocDecision("robber-win", k)
     if budget is None:
@@ -233,8 +223,7 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
                 queue.append(entry[1])
 
     if start in winning:
-        strategy = {frozenset(bits(B)): all_placements[j]
-                    for B, j in winning.items()}
+        strategy = {B: all_placements[j] for B, j in winning.items()}
         return LocDecision("cop-win", k, strategy=strategy,
                            beliefs=len(options), placements=placements_evaluated)
     return LocDecision("robber-win", k, beliefs=len(options),
@@ -280,11 +269,11 @@ def localization_number(G: Graph, budget: Budget | None = None) -> LocNumberResu
 
 
 class UnhandledBeliefError(Exception):
-    """A strategy met a belief outside its enumerated case forms."""
+    """A strategy met a belief, a vertex mask, outside its case forms."""
 
-    def __init__(self, belief) -> None:
-        self.belief = frozenset(belief)
-        super().__init__(f"no strategy case covers belief {sorted(self.belief)}")
+    def __init__(self, belief: int) -> None:
+        self.belief = belief
+        super().__init__(f"no strategy case covers belief {bits(belief)}")
 
 
 class ConstantStrategy:
@@ -300,13 +289,14 @@ class ConstantStrategy:
 class MooreStrategy:
     """Staged k-cop strategy for k-regular diameter-2 Moore graphs, k >= 5.
 
-    The placement depends only on the previous round's refined class, whose
-    form the girth-5 structure pins down: the opening probe, the echo of the
-    opening around a spared neighbor ("init2"), the inductive middle game on
-    a class A inside one neighborhood, and the two-candidate endgame. All
-    free choices are resolved by least vertex index so traces are
-    reproducible. Any class outside these forms raises UnhandledBeliefError,
-    which the verifier surfaces verbatim.
+    The placement depends only on the previous round's refined class, a
+    vertex mask read against ``G.adj``, whose form the girth-5 structure
+    pins down: the opening probe, the echo of the opening around a spared
+    neighbor ("init2"), the inductive middle game on a class A inside one
+    neighborhood, and the two-candidate endgame. All free choices are
+    resolved by least vertex index so traces are reproducible. Any class
+    outside these forms raises UnhandledBeliefError, which the verifier
+    surfaces verbatim.
     """
 
     def __init__(self, G: Graph) -> None:
@@ -318,63 +308,61 @@ class MooreStrategy:
         self.G = G
         self.k = k
 
-    def decide(self, prev_class=None) -> tuple[tuple[int, ...], str]:
+    def decide(self, prev_class: int | None = None) -> tuple[tuple[int, ...], str]:
+        adj = self.G.adj
         if prev_class is None:
-            return self._probe(0, min(self.G.neighbors(0)), "init")
-        C = frozenset(prev_class)
-        if len(C) <= 1:
+            return self._probe(0, _least(adj[0]), "init")
+        C = prev_class
+        if not C & (C - 1):
             raise ValueError("strategy queried after the robber was located")
-        G, k = self.G, self.k
-        c = sum(1 << v for v in C)
-        u = next((x for x in range(G.n) if G.adj[x] & c == c), None)
+        u = next((x for x, m in enumerate(adj) if m & C == C), None)
         if u is not None:
-            if len(C) == 2:
-                a1, a2 = sorted(C)
-                return self._endgame(u, a1, a2)
-            if 3 <= len(C) <= k - 1:
+            size = C.bit_count()
+            if size == 2:
+                return self._endgame(u, *bits(C))
+            if 3 <= size <= self.k - 1:
                 return self._middle(u, C)
             raise UnhandledBeliefError(C)
-        for y in sorted(C):
-            if C - {y} <= G.neighbors(y) and G.neighbors(y) - C:
+        for y in bits(C):
+            if C & ~adj[y] == 1 << y and adj[y] & ~C:
                 # The robber is on y or on C - {y} inside N(y); one neighbor
                 # of y is known clean, so replay the opening centered at y
                 # sparing it.
-                return self._probe(y, min(G.neighbors(y) - C), "init2")
+                return self._probe(y, _least(adj[y] & ~C), "init2")
         raise UnhandledBeliefError(C)
 
     def _probe(self, x: int, spared: int, tag: str):
         # Cops on N(x) minus the spared neighbor, plus the least neighbor
         # (other than x) of the least other neighbor of x.
-        G = self.G
-        z = min(G.neighbors(x) - {spared})
-        w = min(G.neighbors(z) - {x})
-        P = tuple(sorted((G.neighbors(x) - {spared}) | {w}))
+        adj = self.G.adj
+        cops = adj[x] & ~(1 << spared)
+        w = _least(adj[_least(cops)] & ~(1 << x))
+        P = tuple(bits(cops | 1 << w))
         assert len(P) == self.k  # w is at distance 2 from x: a fresh cop
         return P, tag
 
-    def _middle(self, u: int, A: frozenset):
+    def _middle(self, u: int, A: int):
         # Stage alpha = k - |A|: cops on A minus its least vertex v, plus
         # alpha+1 marks in N(v); every class this produces is strictly
         # smaller, driving the induction toward the endgame.
-        G, k = self.G, self.k
-        alpha = k - len(A)
-        v = min(A)
-        marks = sorted(G.neighbors(v) - {u})[: alpha + 1]
-        P = tuple(sorted((A - {v}) | set(marks)))
+        adj, k = self.G.adj, self.k
+        alpha = k - A.bit_count()
+        v = _least(A)
+        marks = bits(adj[v] & ~(1 << u))[: alpha + 1]
+        P = tuple(sorted({*bits(A & ~(1 << v)), *marks}))
         assert len(P) == k  # N(u) and N(v) are disjoint for adjacent u, v
         return P, f"middle-alpha{alpha}"
 
     def _endgame(self, u: int, a1: int, a2: int):
-        G, k = self.G, self.k
-        c1, c2 = sorted(G.neighbors(a1) - {u})[:2]
-        far = sorted(G.neighbors(a2) - {u})
-        marked = [x for x in far if G.adjacent(x, c1) or G.adjacent(x, c2)]
-        assert len(marked) == 2  # each of c1, c2 marks exactly one vertex
-        cops2 = [x for x in far if x not in marked]
-        P = tuple(sorted([u, c1, c2] + cops2))
-        assert len(P) == k
-        for a, b in combinations(P, 2):  # the no-adjacent-cops clause
-            assert not G.adjacent(a, b)
+        adj = self.G.adj
+        c1, c2 = bits(adj[a1] & ~(1 << u))[:2]
+        far = adj[a2] & ~(1 << u)
+        marked = far & (adj[c1] | adj[c2])
+        assert marked.bit_count() == 2  # each of c1, c2 marks exactly one vertex
+        cops = far & ~marked | 1 << u | 1 << c1 | 1 << c2
+        P = tuple(bits(cops))
+        assert len(P) == self.k
+        assert not any(adj[p] & cops for p in P)  # the no-adjacent-cops clause
         return P, "endgame"
 
 
@@ -421,8 +409,10 @@ def verify_strategy(G: Graph, strategy, k: int,
                     max_rounds: int | None = None) -> VerificationReport:
     """Explores every observation class at every reachable refined belief.
 
-    Captured means every adversarial play ends with a singleton class within
-    max_rounds probes; the report carries the worst-case round count.
+    The strategy's ``decide`` receives the previous refined class as a
+    vertex mask, None before the first probe. Captured means every
+    adversarial play ends with a singleton class within max_rounds probes;
+    the report carries the worst-case round count.
     Evaded carries the offending trace: a repeated belief along a play (the
     robber loops forever), an unhandled belief, or the round limit.
     """
@@ -459,9 +449,9 @@ def verify_strategy(G: Graph, strategy, k: int,
         if depth >= max_rounds:
             raise _Evasion("round limit exceeded")
         try:
-            P, tag = place(None if c is None else frozenset(bits(c)))
+            P, tag = place(c)
         except UnhandledBeliefError as exc:
-            raise _Evasion(f"unhandled belief {sorted(exc.belief)}") from exc
+            raise _Evasion(f"unhandled belief {bits(exc.belief)}") from exc
         belief = (1 << G.n) - 1 if c is None else _spread(G.adj, c)
         parts = _split([layers[p] for p in P], belief)
         onstack.add(c)

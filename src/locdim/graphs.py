@@ -85,10 +85,9 @@ class Graph:
     def dist(self, u: int, v: int) -> int:
         """The distance from u to v, UNREACHABLE when no path joins them;
         read from ``distance_layers(u)`` on each call."""
-        for w in (u, v):
-            if not 0 <= w < self.n:
-                raise IndexError(f"vertex {w} outside 0..{self.n - 1}")
-        *layers, _ = self.distance_layers(u)
+        *layers, _ = self.distance_layers(u)  # checks u
+        if not 0 <= v < self.n:
+            raise IndexError(f"vertex {v} outside 0..{self.n - 1}")
         return next((d for d, m in enumerate(layers) if m >> v & 1), UNREACHABLE)
 
     def distance_layers(self, u: int) -> list[int]:
@@ -96,6 +95,8 @@ class Graph:
         distance 0, 1, ..., ecc(u), then the mask of the vertices u does not
         reach (0 when G is connected). A bitset BFS over ``adj`` that stops
         once every vertex is reached."""
+        if not 0 <= u < self.n:
+            raise IndexError(f"vertex {u} outside 0..{self.n - 1}")
         adj, full = self.adj, (1 << self.n) - 1
         seen = layer = 1 << u
         layers = []

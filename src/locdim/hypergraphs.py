@@ -74,10 +74,6 @@ class Hypergraph:
             return sizes.pop()
         return None
 
-    def degree(self, u: int) -> int:
-        """Hyperedge-degree: the number of edges containing u."""
-        return sum(1 for e in self.edges if u in e)
-
     def degrees(self) -> tuple[int, ...]:
         counts = [0] * (self.n + 1)
         for e in self.edges:

@@ -62,10 +62,11 @@ def is_resolving(G: Graph, S) -> ResolvingCertificate:
     first vertex whose distance vector repeats is the least second member
     of a surviving class, and its earlier twin is that class's least member.
     """
+    S = tuple(S)
+    for s in S:
+        if type(s) is not int or not 0 <= s < G.n:
+            raise ValueError(f"landmark {s!r} outside 0..{G.n - 1}")
     landmarks = tuple(sorted(set(S)))
-    for s in landmarks:
-        if not 0 <= s < G.n:
-            raise ValueError(f"landmark {s} outside 0..{G.n - 1}")
     classes = [(1 << G.n) - 1] if G.n > 1 else []
     for s in landmarks:
         layers = G.distance_layers(s)

@@ -505,6 +505,15 @@ def test_searching_verbs_exit_2_on_a_tiny_node_budget(capsys, argv):
         assert json.loads(out)
 
 
+@pytest.mark.parametrize("argv", SEARCHING, ids=lambda a: " ".join(a[:2]))
+def test_searching_verbs_exit_3_on_a_negative_or_nan_budget(capsys, argv):
+    for flag, value in (("--budget-nodes", "-1"), ("--budget-seconds", "-0.5"),
+                        ("--budget-seconds", "nan")):
+        code, out, err = run(capsys, *argv, flag, value)
+        assert code == 3 and out == ""
+        assert "must be >= 0" in err
+
+
 @pytest.mark.parametrize("argv", NOT_SEARCHING, ids=lambda a: " ".join(a[:2]))
 def test_other_verbs_reject_budget_flags(capsys, argv):
     assert run(capsys, *argv)[0] in (0, 1)

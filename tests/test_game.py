@@ -15,33 +15,42 @@ from locdim.graphs import automorphism_group, bits
 from oracles import image_max_image, image_orbit_firsts, sweep_loc_decide
 
 
+def mask(vertices) -> int:
+    return sum(1 << v for v in vertices)
+
+
+def split(G: L.Graph, P, b: int) -> dict[tuple[int, ...], int]:
+    """Mask b split by distance vector to the placement P."""
+    return game._split(map(G.distance_layers, P), b)
+
+
 def test_spread_is_union_of_closed_neighborhoods():
     P = L.petersen()
-    assert L.spread(P, frozenset({0, 1})) == frozenset({0, 1, 5, 6, 7, 8, 9})
+    assert game._spread(P.adj, mask({0, 1})) == mask({0, 1, 5, 6, 7, 8, 9})
     for B in ({0}, {0, 1, 2}, set(range(10))):
         expect = set()
         for v in B:
             expect |= P.neighbors(v) | {v}
-        assert L.spread(P, frozenset(B)) == frozenset(expect)
+        assert game._spread(P.adj, mask(B)) == mask(expect)
 
 
 def test_probe_partition_petersen_single_cop():
     P = L.petersen()
-    parts = L.probe_partition(P, (0,), frozenset(range(10)))
-    assert parts[(0,)] == frozenset({0})
-    assert parts[(1,)] == P.neighbors(0)
-    assert parts[(2,)] == {u for u in range(P.n) if P.dist(0, u) == 2}
+    parts = split(P, (0,), mask(range(10)))
+    assert parts[(0,)] == mask({0})
+    assert parts[(1,)] == P.adj[0]
+    assert parts[(2,)] == mask(u for u in range(P.n) if P.dist(0, u) == 2)
 
 
 def test_probe_partition_is_a_partition():
     G = L.kneser_graph(2, 6)
-    parts = L.probe_partition(G, (0, 3, 7), frozenset(range(G.n)))
-    seen = set()
+    parts = split(G, (0, 3, 7), mask(range(G.n)))
+    seen = 0
     for vec, cls in parts.items():
         assert len(vec) == 3
         assert not seen & cls
         seen |= cls
-    assert seen == set(range(G.n))
+    assert seen == mask(range(G.n))
 
 
 def test_loc_decide_small_graphs():
@@ -124,7 +133,7 @@ STRATEGY_DIGESTS = [
 def test_loc_decide_strategy_digest(spec, k, digest):
     G = resolve_graph_spec(spec)[0]
     d = L.loc_decide(G, k, budget=L.Budget(max_nodes=10**8))
-    items = sorted((tuple(sorted(B)), P) for B, P in d.strategy.items())
+    items = sorted((tuple(bits(B)), P) for B, P in d.strategy.items())
     assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
 
 
@@ -167,8 +176,8 @@ class SolverStrategy:
 
     def decide(self, prev_class=None):
         if prev_class is None:
-            return self.strategy[frozenset(range(self.G.n))], "solver"
-        return self.strategy[L.spread(self.G, prev_class)], "solver"
+            return self.strategy[mask(range(self.G.n))], "solver"
+        return self.strategy[game._spread(self.G.adj, prev_class)], "solver"
 
 
 @pytest.mark.parametrize("spec,k", [("c5", 2), ("petersen", 3),
@@ -321,14 +330,14 @@ def test_moore_strategy_endgame_always_locates():
         nbrs = sorted(HS.neighbors(u))
         for a1, a2 in combinations(nbrs, 2):
             assert not HS.adjacent(a1, a2)  # neighborhoods are independent
-            C = frozenset({a1, a2})
+            C = mask({a1, a2})
             P, tag = strat.decide(C)
             assert tag == "endgame"
             assert len(P) == 7
             for x, y in combinations(P, 2):
                 assert not HS.adjacent(x, y)
-            parts = L.probe_partition(HS, P, L.spread(HS, C))
-            assert all(len(cls) == 1 for cls in parts.values())
+            parts = split(HS, P, game._spread(HS.adj, C))
+            assert all(cls.bit_count() == 1 for cls in parts.values())
 
 
 def test_moore_strategy_middle_stage_shrinks_classes():
@@ -337,27 +346,27 @@ def test_moore_strategy_middle_stage_shrinks_classes():
     u = 5
     nbrs = sorted(HS.neighbors(u))
     for size in (3, 4, 5, 6):
-        A = frozenset(nbrs[:size])
+        A = mask(nbrs[:size])
         P, tag = strat.decide(A)
         assert tag == f"middle-alpha{7 - size}"
         assert len(P) == 7
-        parts = L.probe_partition(HS, P, L.spread(HS, A))
+        parts = split(HS, P, game._spread(HS.adj, A))
         for cls in parts.values():
-            if len(cls) > 1:
-                assert len(cls) < size
-                owners = [w for w in range(HS.n) if cls <= HS.neighbors(w)]
+            if cls.bit_count() > 1:
+                assert cls.bit_count() < size
+                owners = [w for w in range(HS.n) if cls & HS.adj[w] == cls]
                 assert len(owners) == 1  # next round stays in strategy form
 
 
 def test_moore_strategy_rejects_singleton_query():
     strat = L.moore_strategy(L.hoffman_singleton())
     with pytest.raises(ValueError):
-        strat.decide(frozenset({3}))
+        strat.decide(mask({3}))
 
 
 def test_unhandled_belief_error_carries_the_belief():
-    err = L.UnhandledBeliefError({3, 1, 2})
-    assert err.belief == frozenset({1, 2, 3})
+    err = L.UnhandledBeliefError(mask({3, 1, 2}))
+    assert err.belief == mask({1, 2, 3})
     assert "1, 2, 3" in str(err)
 
 
@@ -455,7 +464,7 @@ def test_verifier_agrees_with_solver_strategy():
     # choice for the opening through the verifier
     C5 = L.cycle_graph(5)
     d = L.loc_decide(C5, 2)
-    opening = d.strategy[frozenset(range(5))]
+    opening = d.strategy[mask(range(5))]
     report = L.verify_strategy(C5, L.ConstantStrategy(opening), 2)
     assert report.outcome == "captured"
     assert report.captured_max_rounds == 1
@@ -479,8 +488,8 @@ def test_full_placement_always_wins(G):
 @settings(max_examples=25, deadline=None)
 @given(connected_graphs())
 def test_spread_is_monotone(G):
-    full = frozenset(range(G.n))
-    assert L.spread(G, full) == full
-    half = frozenset(range(G.n // 2 + 1))
-    assert L.spread(G, half) <= full
-    assert half <= L.spread(G, half)
+    full = mask(range(G.n))
+    assert game._spread(G.adj, full) == full
+    half = mask(range(G.n // 2 + 1))
+    assert game._spread(G.adj, half) & ~full == 0
+    assert half & ~game._spread(G.adj, half) == 0

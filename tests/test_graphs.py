@@ -9,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locdim as L
-from locdim.graphs import UNREACHABLE, orbit_reps, point_stabilizer
+from locdim.game import _split
+from locdim.graphs import UNREACHABLE, bits, orbit_reps, point_stabilizer
 
 from oracles import (bfs_girth, distance_rows, distance_vector_groups,
                      first_repeated_vector, has_c4, json_graph_hash, to_nx)
@@ -65,7 +66,9 @@ def test_distance_readers_match_networkx_rows_on_random_graphs(data):
     pair = first_repeated_vector(G, S)
     assert (cert.verified, cert.witness_pair) == (pair is None, pair)
     B = data.draw(st.sets(vertex, max_size=G.n))
-    assert L.probe_partition(G, S, B) == distance_vector_groups(G, S, B)
+    cells = _split(map(G.distance_layers, S), sum(1 << v for v in B))
+    assert {vec: frozenset(bits(c)) for vec, c in cells.items()} \
+        == distance_vector_groups(G, S, B)
 
 
 def test_diameter_against_networkx():
@@ -280,6 +283,13 @@ def test_dist_rejects_vertices_outside_the_graph():
     for u, v in ((-1, 0), (5, 0), (0, -1), (0, 5)):
         with pytest.raises(IndexError, match=r"outside 0\.\.4"):
             C5.dist(u, v)
+
+
+def test_distance_layers_rejects_vertices_outside_the_graph():
+    C5 = L.cycle_graph(5)
+    for u in (-1, 5):
+        with pytest.raises(IndexError, match=r"vertex -?\d outside 0\.\.4"):
+            C5.distance_layers(u)
 
 
 def test_neighborhood_helpers():

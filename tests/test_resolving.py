@@ -37,6 +37,10 @@ def test_is_resolving_input_validation():
     G = L.cycle_graph(5)
     with pytest.raises(ValueError):
         L.is_resolving(G, (0, 9))
+    # landmarks are vertex ints, as in Graph: a bool or a float is refused
+    for bad in ([True], [0, False], [1.0]):
+        with pytest.raises(ValueError, match="outside 0..4"):
+            L.is_resolving(G, bad)
     # duplicates collapse instead of erroring
     assert L.is_resolving(G, (0, 0, 1)).landmarks == (0, 1)
 
@@ -93,6 +97,16 @@ def test_budget_exhaustion_yields_honest_interval():
     assert 1 <= res.lower <= res.upper
     assert L.is_resolving(G, res.landmarks).verified
     assert len(res.landmarks) == res.upper
+
+
+def test_budget_rejects_negative_and_nan_caps():
+    for caps in ({"max_nodes": -1}, {"max_seconds": -0.5},
+                 {"max_seconds": float("nan")}):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            L.Budget(**caps)
+    # zero is a valid cap: the first spend runs it out
+    with pytest.raises(L.BudgetExceededError):
+        L.Budget(max_nodes=0).spend()
 
 
 def test_time_budget_is_checked_on_every_spend():
