@@ -10,8 +10,8 @@ so reports always show what was checked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .fields import is_prime_power
 
@@ -22,8 +22,7 @@ class BoundContradictionError(Exception):
     """A computed value violates an applicable bound; names the source."""
 
 
-@dataclass(frozen=True)
-class BoundEntry:
+class BoundEntry(NamedTuple):
     quantity: str  # "beta" | "zeta"
     kind: str  # "lower" | "upper"
     source: str
@@ -66,7 +65,8 @@ def _check_kneser_params(k: int, n: int) -> None:
     if k < 2:
         raise ValueError(f"need k >= 2, got k={k}")
     if n < 3 * k:
-        raise ValueError(f"need n >= 3k for diameter 2, got k={k}, n={n}")
+        raise ValueError(
+            f"the paper's Kneser bounds need n >= 3k, got k={k}, n={n}")
 
 
 def kneser_beta_lower(k: int, n: int) -> BoundEntry:
@@ -171,13 +171,14 @@ def polarity_bounds(q: int) -> list[BoundEntry]:
     return entries
 
 
-@dataclass
 class BoundsReport:
-    family: str
-    params: dict
-    entries: list[BoundEntry]
-    computed: dict = field(default_factory=dict)
-    checked: list[str] = field(default_factory=list)
+    def __init__(self, family: str, params: dict, entries: list[BoundEntry],
+                 computed: dict) -> None:
+        self.family = family
+        self.params = params
+        self.entries = entries
+        self.computed = computed
+        self.checked: list[str] = []
 
     def to_json_dict(self) -> dict:
         return {

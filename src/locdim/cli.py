@@ -1,17 +1,20 @@
 """Command-line front end.
 
-Verbs: graph, hyper, md, loc, bounds. A run is one pipeline: parse the
-arguments, call the verb's handler, write its artifact, return its exit code.
-Every handler ``cmd_*`` returns ``(artifact, exit_code)``: a dict, the DOT
-text of ``graph export --format dot``, or None. ``main`` alone writes the
-artifact (to stdout or ``--out``) and turns exceptions into exit codes. The
-one handler that prints is ``bounds report``, its contradiction message:
+Groups: graph, hyper, md, loc, bounds, each with its verbs. A run is one
+pipeline: parse the arguments, call the verb's handler, write its artifact,
+return its exit code. Only the named group's verb parsers are built. Every
+handler ``cmd_*`` returns ``(artifact, exit_code)``: a dict, the DOT text of
+``graph export --format dot``, or None. ``main`` alone writes the artifact
+(to stdout or ``--out``) and turns exceptions into exit codes. The one
+handler that prints is ``bounds report``, its contradiction message:
 catching that error in ``main`` would import the bounds module for every
-verb. A dict is rendered as JSON with sorted keys and two-space indent plus
-a trailing newline, so identical inputs produce byte-identical files. Exit
-codes: 0 success, 1 verification failure, 2 budget exhausted, 3 invalid
-input. Only the verbs that search (hyper detect, gadget and cover; md exact;
-loc decide and number) take ``--budget-nodes`` and ``--budget-seconds``.
+verb. A dict is written byte for byte as ``json.dumps(art, sort_keys=True,
+indent=2)`` plus a newline, so identical inputs give identical files, but by
+``_indented``, which keeps out the slow pure-Python encoder that ``indent``
+selects. Exit codes: 0 success, 1 verification failure, 2 budget exhausted,
+3 invalid input. Only the verbs that search (hyper detect, gadget and cover;
+md exact; loc decide and number) take ``--budget-nodes`` and
+``--budget-seconds``.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 from pathlib import Path
 
 from .budget import Budget, BudgetExceededError
@@ -64,13 +68,8 @@ def resolve_graph_spec(spec: str):
 
 def parse_vertex_set(G: Graph, text: str) -> tuple[int, ...]:
     """Comma-separated vertices; labels take precedence over indices."""
-    out = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
-        out.append(G.vertex_by_label(token))
-    return tuple(out)
+    return tuple(G.vertex_by_label(t) for t in map(str.strip, text.split(","))
+                 if t)
 
 
 def _load_hypergraph(args):
@@ -111,7 +110,7 @@ def _interval(text: str):
     return int(text)
 
 
-def _girth_value(g):
+def _or_infinity(g):
     return g if isinstance(g, int) else "infinity"
 
 
@@ -123,9 +122,8 @@ def cmd_graph_build(args):
     art = graph_to_json_dict(G)
     art["hash"] = graph_hash(G)
     if args.stats:
-        d = G.diameter()
-        art["diameter"] = d if isinstance(d, int) else "infinity"
-        art["girth"] = _girth_value(graph_girth(G))
+        art["diameter"] = _or_infinity(G.diameter())
+        art["girth"] = _or_infinity(graph_girth(G))
         art["regularity"] = G.regularity()
     return art, 0
 
@@ -154,7 +152,7 @@ def cmd_hyper_girth(args):
     from . import berge_girth
     H = _load_hypergraph(args)
     return {"n": H.n, "edges": H.num_edges,
-            "berge_girth": _girth_value(berge_girth(H))}, 0
+            "berge_girth": _or_infinity(berge_girth(H))}, 0
 
 
 def cmd_hyper_certify(args):
@@ -186,7 +184,7 @@ def cmd_hyper_gadget(args):
                 "max_vertices": args.max_vertices}, 0
     return {"found": True, "complete": True, "k": args.k,
             "n": H.n, "regularity": H.regularity(),
-            "berge_girth": _girth_value(berge_girth(H)),
+            "berge_girth": _or_infinity(berge_girth(H)),
             "edges": [list(e) for e in H.canonical_edges()]}, 0
 
 
@@ -339,7 +337,9 @@ def cmd_bounds_report(args):
 # -- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The five groups with their help, and the verbs of the group named
+    ``verb`` (of every group when it is None): a parse reads no other."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write the artifact here instead of stdout")
     search = argparse.ArgumentParser(add_help=False, parents=[common])
@@ -353,117 +353,144 @@ def build_parser() -> argparse.ArgumentParser:
         description="metric dimension and localization-game toolkit for "
                     "diameter-2 graph families")
     sub = parser.add_subparsers(dest="verb", required=True)
+    groups = {}
+    for name, text in (("graph", "build and export graphs"),
+                       ("hyper", "hypergraph detection and gadgets"),
+                       ("md", "metric dimension and resolving sets"),
+                       ("loc", "localization game"),
+                       ("bounds", "closed-form bounds")):
+        group = sub.add_parser(name, help=text)
+        if verb in (None, name):
+            groups[name] = group.add_subparsers(dest="cmd", required=True)
 
-    p_graph = sub.add_parser("graph", help="build and export graphs")
-    graph_sub = p_graph.add_subparsers(dest="cmd", required=True)
-    g = graph_sub.add_parser("build", parents=[common])
-    g.add_argument("--graph", required=True)
-    g.add_argument("--stats", action="store_true",
-                   help="include diameter, girth and regularity")
-    g.set_defaults(func=cmd_graph_build)
-    g = graph_sub.add_parser("export", parents=[common])
-    g.add_argument("--graph", required=True)
-    g.add_argument("--format", choices=["json", "dot"], default="json")
-    g.set_defaults(func=cmd_graph_export, stats=False)
+    if "graph" in groups:
+        g = groups["graph"].add_parser("build", parents=[common])
+        g.add_argument("--graph", required=True)
+        g.add_argument("--stats", action="store_true",
+                       help="include diameter, girth and regularity")
+        g.set_defaults(func=cmd_graph_build)
+        g = groups["graph"].add_parser("export", parents=[common])
+        g.add_argument("--graph", required=True)
+        g.add_argument("--format", choices=["json", "dot"], default="json")
+        g.set_defaults(func=cmd_graph_export, stats=False)
 
-    p_hyper = sub.add_parser("hyper", help="hypergraph detection and gadgets")
-    hyper_sub = p_hyper.add_subparsers(dest="cmd", required=True)
-    for name, fn in (("detect", cmd_hyper_detect), ("girth", cmd_hyper_girth),
-                     ("certify", cmd_hyper_certify)):
-        h = hyper_sub.add_parser(
-            name, parents=[search if name == "detect" else common])
-        h.add_argument("--hypergraph", help="JSON file with n and edges")
-        h.add_argument("--n", type=int, help="vertex count for inline --edges")
-        h.add_argument("--edges", help="inline JSON list of edges")
-        if name in ("detect", "certify"):
-            h.add_argument("--kprime", type=int, required=True)
-        h.set_defaults(func=fn)
-    h = hyper_sub.add_parser("convert", parents=[common])
-    h.add_argument("--direction", choices=["to-resolving", "to-hypergraph"],
-                   required=True)
-    h.add_argument("--k", type=int, required=True)
-    h.add_argument("--n", type=int, required=True)
-    h.add_argument("--hypergraph")
-    h.add_argument("--edges")
-    h.add_argument("--set", help="landmark list for to-hypergraph")
-    h.set_defaults(func=cmd_hyper_convert)
-    h = hyper_sub.add_parser("gadget", parents=[search])
-    h.add_argument("--k", type=int, required=True)
-    h.add_argument("--max-vertices", type=int, default=12)
-    h.add_argument("--regularity", type=int, default=None)
-    h.set_defaults(func=cmd_hyper_gadget)
-    h = hyper_sub.add_parser("cover", parents=[search])
-    h.add_argument("--k", type=int, required=True)
-    h.add_argument("--n", type=int, required=True)
-    h.add_argument("--gadget", help="hypergraph JSON file to tile with")
-    h.add_argument("--max-vertices", type=int, default=12)
-    h.set_defaults(func=cmd_hyper_cover)
+    if "hyper" in groups:
+        for name, fn in (("detect", cmd_hyper_detect), ("girth", cmd_hyper_girth),
+                         ("certify", cmd_hyper_certify)):
+            h = groups["hyper"].add_parser(
+                name, parents=[search if name == "detect" else common])
+            h.add_argument("--hypergraph", help="JSON file with n and edges")
+            h.add_argument("--n", type=int, help="vertex count for inline --edges")
+            h.add_argument("--edges", help="inline JSON list of edges")
+            if name in ("detect", "certify"):
+                h.add_argument("--kprime", type=int, required=True)
+            h.set_defaults(func=fn)
+        h = groups["hyper"].add_parser("convert", parents=[common])
+        h.add_argument("--direction", choices=["to-resolving", "to-hypergraph"],
+                       required=True)
+        h.add_argument("--k", type=int, required=True)
+        h.add_argument("--n", type=int, required=True)
+        h.add_argument("--hypergraph")
+        h.add_argument("--edges")
+        h.add_argument("--set", help="landmark list for to-hypergraph")
+        h.set_defaults(func=cmd_hyper_convert)
+        h = groups["hyper"].add_parser("gadget", parents=[search])
+        h.add_argument("--k", type=int, required=True)
+        h.add_argument("--max-vertices", type=int, default=12)
+        h.add_argument("--regularity", type=int, default=None)
+        h.set_defaults(func=cmd_hyper_gadget)
+        h = groups["hyper"].add_parser("cover", parents=[search])
+        h.add_argument("--k", type=int, required=True)
+        h.add_argument("--n", type=int, required=True)
+        h.add_argument("--gadget", help="hypergraph JSON file to tile with")
+        h.add_argument("--max-vertices", type=int, default=12)
+        h.set_defaults(func=cmd_hyper_cover)
 
-    p_md = sub.add_parser("md", help="metric dimension and resolving sets")
-    md_sub = p_md.add_subparsers(dest="cmd", required=True)
-    m = md_sub.add_parser("verify", parents=[common])
-    m.add_argument("--graph", required=True)
-    m.add_argument("--set", required=True,
-                   help="comma-separated vertices; labels resolve first")
-    m.set_defaults(func=cmd_md_verify)
-    m = md_sub.add_parser("exact", parents=[search])
-    m.add_argument("--graph", required=True)
-    m.set_defaults(func=cmd_md_exact)
-    m = md_sub.add_parser("greedy", parents=[common])
-    m.add_argument("--graph", required=True)
-    m.set_defaults(func=cmd_md_greedy)
-    m = md_sub.add_parser("construct", parents=[common])
-    m.add_argument("--graph", required=True,
-                   help="a Moore graph spec or er:Q")
-    m.set_defaults(func=cmd_md_construct)
+    if "md" in groups:
+        m = groups["md"].add_parser("verify", parents=[common])
+        m.add_argument("--graph", required=True)
+        m.add_argument("--set", required=True,
+                       help="comma-separated vertices; labels resolve first")
+        m.set_defaults(func=cmd_md_verify)
+        m = groups["md"].add_parser("exact", parents=[search])
+        m.add_argument("--graph", required=True)
+        m.set_defaults(func=cmd_md_exact)
+        m = groups["md"].add_parser("greedy", parents=[common])
+        m.add_argument("--graph", required=True)
+        m.set_defaults(func=cmd_md_greedy)
+        m = groups["md"].add_parser("construct", parents=[common])
+        m.add_argument("--graph", required=True,
+                       help="a Moore graph spec or er:Q")
+        m.set_defaults(func=cmd_md_construct)
 
-    p_loc = sub.add_parser("loc", help="localization game")
-    loc_sub = p_loc.add_subparsers(dest="cmd", required=True)
-    l = loc_sub.add_parser("decide", parents=[search])
-    l.add_argument("--graph", required=True)
-    l.add_argument("--cops", type=int, required=True)
-    l.set_defaults(func=cmd_loc_decide)
-    l = loc_sub.add_parser("number", parents=[search])
-    l.add_argument("--graph", required=True)
-    l.set_defaults(func=cmd_loc_number)
-    l = loc_sub.add_parser("verify", parents=[common])
-    l.add_argument("--graph", required=True)
-    l.add_argument("--strategy", choices=["moore", "static"], default="moore")
-    l.add_argument("--set", help="placement for --strategy static")
-    l.add_argument("--cops", type=int, default=None)
-    l.add_argument("--max-rounds", type=int, default=None)
-    l.add_argument("--trace", action="store_true",
-                   help="keep the full trace in the artifact")
-    l.set_defaults(func=cmd_loc_verify)
+    if "loc" in groups:
+        l = groups["loc"].add_parser("decide", parents=[search])
+        l.add_argument("--graph", required=True)
+        l.add_argument("--cops", type=int, required=True)
+        l.set_defaults(func=cmd_loc_decide)
+        l = groups["loc"].add_parser("number", parents=[search])
+        l.add_argument("--graph", required=True)
+        l.set_defaults(func=cmd_loc_number)
+        l = groups["loc"].add_parser("verify", parents=[common])
+        l.add_argument("--graph", required=True)
+        l.add_argument("--strategy", choices=["moore", "static"], default="moore")
+        l.add_argument("--set", help="placement for --strategy static")
+        l.add_argument("--cops", type=int, default=None)
+        l.add_argument("--max-rounds", type=int, default=None)
+        l.add_argument("--trace", action="store_true",
+                       help="keep the full trace in the artifact")
+        l.set_defaults(func=cmd_loc_verify)
 
-    p_bounds = sub.add_parser("bounds", help="closed-form bounds")
-    bounds_sub = p_bounds.add_subparsers(dest="cmd", required=True)
-    b = bounds_sub.add_parser("report", parents=[common])
-    b.add_argument("--family", choices=["kneser", "moore", "polarity"],
-                   required=True)
-    b.add_argument("--k", type=int, default=None)
-    b.add_argument("--n", type=int, default=None)
-    b.add_argument("--q", type=int, default=None)
-    b.add_argument("--gadget-m", type=int, default=None)
-    b.add_argument("--beta", help="computed value, either N or LO:HI")
-    b.add_argument("--zeta", help="computed value, either N or LO:HI")
-    b.set_defaults(func=cmd_bounds_report)
+    if "bounds" in groups:
+        b = groups["bounds"].add_parser("report", parents=[common])
+        b.add_argument("--family", choices=["kneser", "moore", "polarity"],
+                       required=True)
+        b.add_argument("--k", type=int, default=None)
+        b.add_argument("--n", type=int, default=None)
+        b.add_argument("--q", type=int, default=None)
+        b.add_argument("--gadget-m", type=int, default=None)
+        b.add_argument("--beta", help="computed value, either N or LO:HI")
+        b.add_argument("--zeta", help="computed value, either N or LO:HI")
+        b.set_defaults(func=cmd_bounds_report)
 
     return parser
 
 
+_leaf = json.JSONEncoder().encode  # the C encoder, for one scalar
+
+
+def _indented(x, ind: str = "\n") -> str:
+    """``json.dumps(x, sort_keys=True, indent=2)``, without the pure-Python
+    encoder that ``indent`` selects: each scalar, ``{}`` and ``[]`` go through
+    the C encoder, and a list of [int, int] pairs is one ``%`` format."""
+    inner = ind + "  "
+    if isinstance(x, dict) and x:
+        return "{" + inner + ("," + inner).join(
+            _leaf(k if isinstance(k, str) else _leaf(k)) + ": "
+            + _indented(v, inner) for k, v in sorted(x.items())) + ind + "}"
+    if not isinstance(x, (list, tuple)) or not x:
+        return _leaf(x)
+    if set(map(type, x)) <= {list, tuple} and set(map(len, x)) == {2}:
+        flat = tuple(chain.from_iterable(x))
+        if set(map(type, flat)) == {int}:
+            row = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+            return "[" + inner + ("," + inner).join([row] * len(x)) % flat + ind + "]"
+    return "[" + inner + ("," + inner).join(
+        _indented(v, inner) for v in x) + ind + "]"
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the first argument not starting with "-" names the group, if any does
+    parser = build_parser(next((a for a in argv if a[:1] != "-"), ""))
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        code = exc.code if isinstance(exc.code, int) else 1
-        return 0 if code == 0 else 3
+    except SystemExit as exc:  # argparse exits 0 on --help, 2 on bad input
+        return 0 if exc.code == 0 else 3
     try:
         art, code = args.func(args)
         if art is not None:
-            text = art if isinstance(art, str) else (
-                json.dumps(art, sort_keys=True, indent=2) + "\n")
+            text = art if isinstance(art, str) else _indented(art) + "\n"
             if args.out:
                 Path(args.out).write_text(text)
             else:

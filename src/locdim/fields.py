@@ -17,7 +17,7 @@ pruning reads.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graphs import Graph
 
@@ -164,8 +164,7 @@ def projective_points(field: Field) -> list[tuple[int, int, int]]:
     return sorted(pts)
 
 
-@dataclass(frozen=True)
-class PolarityGraph:
+class PolarityGraph(NamedTuple):
     """ER(q): projective points with u ~ v iff their dot product vanishes."""
 
     graph: Graph

@@ -13,8 +13,8 @@ verifier's classes, and the class a strategy's ``decide`` receives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
+from typing import NamedTuple
 
 from .budget import Budget, BudgetExceededError
 from .graphs import (UNREACHABLE, Graph, automorphism_group, bits, graph_hash,
@@ -111,8 +111,7 @@ def _orbit_firsts(to, autos, B: int, placements):
     return out
 
 
-@dataclass(frozen=True)
-class LocDecision:
+class LocDecision(NamedTuple):
     result: str  # "cop-win" | "robber-win" | "unknown"
     k: int
     strategy: dict | None = None
@@ -230,8 +229,7 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
                        placements=placements_evaluated)
 
 
-@dataclass(frozen=True)
-class LocNumberResult:
+class LocNumberResult(NamedTuple):
     lower: int
     upper: int
     exact: bool
@@ -373,17 +371,18 @@ def moore_strategy(G: Graph) -> MooreStrategy:
 # -- exhaustive adversarial verification ------------------------------------------
 
 
-@dataclass
 class VerificationReport:
-    outcome: str  # "captured" | "evaded"
-    k: int
-    graph_hash: str
-    max_rounds_allowed: int
-    captured_max_rounds: int | None = None
-    classes_explored: int = 0
-    reason: str | None = None
-    trace: list = field(default_factory=list)
-    stage_tags: tuple[str, ...] = ()
+    def __init__(self, outcome: str, k: int, graph_hash: str,
+                 max_rounds_allowed: int) -> None:
+        self.outcome = outcome  # "captured" | "evaded"
+        self.k = k
+        self.graph_hash = graph_hash
+        self.max_rounds_allowed = max_rounds_allowed
+        self.captured_max_rounds: int | None = None
+        self.classes_explored = 0
+        self.reason: str | None = None
+        self.trace: list = []
+        self.stage_tags: tuple[str, ...] = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -112,9 +112,6 @@ class Graph:
         layers.append(full ^ seen)
         return layers
 
-    def adjacent(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     def neighbors(self, u: int) -> frozenset:
         return frozenset(bits(self.adj[u]))
 

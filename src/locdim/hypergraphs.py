@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .budget import Budget, BudgetExceededError
 from .graphs import (Graph, graph_girth, kneser_vertex_index,
@@ -128,8 +128,7 @@ def detection_vector(H: Hypergraph, B) -> tuple[Detection, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class DetectResult:
+class DetectResult(NamedTuple):
     """Outcome of a brute-force detectability check."""
 
     detectable: bool
@@ -232,8 +231,7 @@ def default_regularity(k: int) -> int:
     return (k + 1) // 2 + 1
 
 
-@dataclass(frozen=True)
-class GadgetSearchResult:
+class GadgetSearchResult(NamedTuple):
     gadget: Hypergraph | None
     complete: bool  # True when the whole space up to max_vertices was refuted
 

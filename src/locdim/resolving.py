@@ -16,8 +16,7 @@ branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Programming 126,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .budget import Budget, BudgetExceededError
 from .graphs import (Graph, bits, graph_hash, is_moore_diam2, orbit_reps,
@@ -29,8 +28,7 @@ if TYPE_CHECKING:
 DEFAULT_MD_BUDGET = 2 * 10**6  # branch-and-bound nodes
 
 
-@dataclass(frozen=True)
-class ResolvingCertificate:
+class ResolvingCertificate(NamedTuple):
     """Verifiable witness that a landmark set does (or does not) resolve."""
 
     graph_hash: str
@@ -167,8 +165,7 @@ def _distance_bound(layers: list[list[int]]) -> int:
     return beta
 
 
-@dataclass(frozen=True)
-class MetricDimensionResult:
+class MetricDimensionResult(NamedTuple):
     lower: int
     upper: int
     landmarks: tuple[int, ...]

@@ -9,8 +9,9 @@ kernels, and the ``image_*`` ones of the game solver's symmetry pruning,
 kept as references that the faster ones must match exactly.
 ``json_graph_hash`` is the structural hash as first defined: the whole
 edge list serialized at once. Distances come from networkx BFS
-(``distance_rows``), never from the package. ``dot3``, ``has_c4`` and
-``check_degree_properties`` are checks that only the tests call.
+(``distance_rows``), never from the package. ``adjacent``, ``dot3``,
+``has_c4`` and ``check_degree_properties`` are checks that only the tests
+call.
 """
 
 import hashlib
@@ -317,6 +318,11 @@ def dot3(F, u, v) -> int:
     for a, b in zip(u, v):
         acc = F.add_table[acc][F.mul_table[a][b]]
     return acc
+
+
+def adjacent(G, u, v) -> bool:
+    """u ~ v, read off G's adjacency masks."""
+    return bool(G.adj[u] >> v & 1)
 
 
 def has_c4(G) -> bool:

@@ -46,8 +46,11 @@ def test_kneser_lower_precondition_flags():
 def test_kneser_param_validation():
     with pytest.raises(ValueError):
         L.kneser_beta_lower(1, 5)
-    with pytest.raises(ValueError):
-        L.kneser_beta_lower(4, 11)  # needs n >= 3k
+    # K(4,11) has diameter 2, but the paper's bounds assume n >= 3k
+    assert L.kneser_graph(4, 11).diameter() == 2
+    with pytest.raises(ValueError, match=r"^the paper's Kneser bounds need "
+                       r"n >= 3k, got k=4, n=11$"):
+        L.kneser_beta_lower(4, 11)
     with pytest.raises(ValueError):
         L.kneser_zeta_lower(4, 11)
     with pytest.raises(ValueError):

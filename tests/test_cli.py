@@ -313,6 +313,13 @@ def test_bounds_report_cli(capsys):
     assert code == 0
 
 
+def test_bounds_report_below_3k_names_the_papers_precondition(capsys):
+    code, out, err = run(capsys, "bounds", "report", "--family", "kneser",
+                         "--k", "3", "--n", "8")
+    assert (code, out) == (3, "")
+    assert err == "error: the paper's Kneser bounds need n >= 3k, got k=3, n=8\n"
+
+
 def test_bounds_contradiction_exits_1(capsys):
     code, _, err = run(capsys, "bounds", "report", "--family", "kneser",
                        "--k", "4", "--n", "12", "--beta", "5")

@@ -16,9 +16,11 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 SOLVERS = ("locdim.bounds", "locdim.fields", "locdim.game",
            "locdim.hypergraphs", "locdim.resolving")
+# the result types are named tuples and plain classes, so no solver verb
+# loads dataclasses (nor inspect with it)
 NOT_MD = ("locdim.bounds", "locdim.fields", "locdim.game",
-          "locdim.hypergraphs")
-NOT_LOC = ("locdim.bounds", "locdim.hypergraphs")
+          "locdim.hypergraphs", "dataclasses")
+NOT_LOC = ("locdim.bounds", "locdim.hypergraphs", "dataclasses")
 
 
 def fresh_modules(code: str) -> set[str]:
@@ -66,7 +68,7 @@ def test_unknown_name_raises_attribute_error():
     (["loc", "number", "--graph", "FILE"], NOT_LOC),
     (["loc", "verify", "--graph", "hs"], NOT_LOC),
     (["bounds", "report", "--family", "polarity", "--q", "3"],
-     ("locdim.game", "locdim.resolving", "locdim.hypergraphs")),
+     ("locdim.game", "locdim.resolving", "locdim.hypergraphs", "dataclasses")),
 ])
 def test_verb_imports_only_what_it_runs(tmp_path, argv, absent):
     graph = tmp_path / "c6.json"
