@@ -123,15 +123,6 @@ class Field:
         self.inv_table = {a: next(b for b in range(q) if self.mul_table[a][b] == 1)
                           for a in range(1, q)}
 
-    def add(self, a: int, b: int) -> int:
-        return self.add_table[a][b]
-
-    def mul(self, a: int, b: int) -> int:
-        return self.mul_table[a][b]
-
-    def neg(self, a: int) -> int:
-        return self.neg_table[a]
-
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")

@@ -63,17 +63,6 @@ class _Memo(dict):
         return value
 
 
-def _target_table(autos, n: int) -> list[list[int]]:
-    """to[t][i]: the mask, over indices into autos, of the automorphisms
-    that send vertex i to vertex t."""
-    rows = [[bytearray(len(autos) + 7 >> 3) for _ in range(n)] for _ in range(n)]
-    for j, sig in enumerate(autos):
-        byte, bit = j >> 3, 1 << (j & 7)
-        for v, w in enumerate(sig):
-            rows[w][v][byte] |= bit
-    return [[int.from_bytes(r, "little") for r in row] for row in rows]
-
-
 def _max_image(to: list[list[int]], b: int) -> tuple[int, int]:
     """The canonical image of mask b under the group of table to, the one
     whose sorted vertex tuple is lexicographically least (the largest mask
@@ -97,18 +86,78 @@ def _max_image(to: list[list[int]], b: int) -> tuple[int, int]:
     return out, C
 
 
-def _orbit_firsts(to, autos, B: int, placements):
-    """Indices of the placements that come first, in list order, in their
-    orbit under the stabilizer of canonical mask B (all, without autos)."""
-    stab = [autos[j] for j in bits(_max_image(to, B)[1])] if autos else ()
-    if len(stab) <= 1:
-        return range(len(placements))
-    seen, out = set(), []
-    for i, P in enumerate(placements):
-        if P not in seen:
-            out.append(i)
-            seen.update(tuple(sorted(sig[p] for p in P)) for sig in stab)
-    return out
+class _Orbits:
+    """Canonical forms under the group that G's generators produce: each
+    belief is replaced by its image with the least sorted vertex tuple
+    (found with its stabilizer by ``_max_image``, one walk up a table of
+    group-element masks), and placements are deduplicated under each
+    belief's stabilizer; pruning only removes isomorphic branches, so the
+    solver's outcome is schedule-independent."""
+
+    def __init__(self, G: Graph) -> None:
+        # to[t][i]: the mask, over indices into autos, of those sending i to t
+        self.autos = autos = automorphism_group(G)
+        rows = [[bytearray(len(autos) + 7 >> 3) for _ in range(G.n)]
+                for _ in range(G.n)]
+        for j, sig in enumerate(autos):
+            byte, bit = j >> 3, 1 << (j & 7)
+            for v, w in enumerate(sig):
+                rows[w][v][byte] |= bit
+        self.to = [[int.from_bytes(r, "little") for r in row] for row in rows]
+
+    def image(self, b: int) -> int:
+        return _max_image(self.to, b)[0]
+
+    def firsts(self, B: int, placements):
+        """Indices of the placements that come first, in list order, in
+        their orbit under the stabilizer of canonical mask B."""
+        stab = [self.autos[j] for j in bits(_max_image(self.to, B)[1])]
+        if len(stab) <= 1:
+            return range(len(placements))
+        seen, out = set(), []
+        for i, P in enumerate(placements):
+            if P not in seen:
+                out.append(i)
+                seen.update(tuple(sorted(sig[p] for p in P)) for sig in stab)
+        return out
+
+
+class _NoOrbits:
+    """``_Orbits`` of a graph without generators: the trivial group's."""
+    image = staticmethod(lambda b: b)
+    firsts = staticmethod(lambda B, placements: range(len(placements)))
+
+
+def _expand(start: int, options: dict, options_of) -> None:
+    """Map, in ``options``, each belief reachable from start (0, a located
+    robber, aside) to ``options_of(belief)``, added once it completes."""
+    frontier = [start]
+    while frontier:
+        B = frontier.pop()
+        if B in options:
+            continue
+        opts = options[B] = options_of(B)
+        frontier.extend(frozenset().union(*opts).difference(options, (0,)))
+
+
+def _propagate(options: dict) -> dict[int, int]:
+    """Each winning belief mapped to its winning placement's index. Wins
+    spread from 0: an option fires once all its successors are winning."""
+    dependents: dict[int, list[list]] = {}
+    for B, opts in options.items():
+        for nexts, i in opts.items():
+            entry = [len(nexts), B, i]
+            for nc in nexts:
+                dependents.setdefault(nc, []).append(entry)
+    winning: dict[int, int] = {}
+    queue = [0]
+    while queue:
+        for entry in dependents.get(queue.pop(), ()):
+            entry[0] -= 1
+            if entry[0] == 0 and entry[1] not in winning:
+                winning[entry[1]] = entry[2]
+                queue.append(entry[1])
+    return winning
 
 
 class LocDecision(NamedTuple):
@@ -126,13 +175,8 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
     observation class a singleton or a class whose spread wins.
 
     Winning beliefs are downward closed, so placements of size exactly
-    min(k, n) lose no generality. Symmetry comes from G's generators: when
-    it carries some, each belief is replaced by its image with the least
-    sorted vertex tuple under the group they produce (found with its
-    stabilizer by ``_max_image``, one walk up a table of group-element
-    masks), and placements are deduplicated under each belief's
-    stabilizer; pruning only removes isomorphic branches, so the outcome
-    is schedule-independent.
+    min(k, n) lose no generality. ``_Orbits`` brings in G's symmetry,
+    ``_expand`` the beliefs and ``_propagate`` the wins.
 
     Beliefs and observation classes are vertex masks, spread by ``_spread``
     and split by ``_split``. The returned strategy maps each winning belief
@@ -157,76 +201,42 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
     size = min(k, n)
     start = (1 << n) - 1  # fixed by every automorphism
     layers = [G.distance_layers(v) for v in range(n)]
-
-    autos = automorphism_group(G)
-    to = _target_table(autos, n) if autos else None
-
+    orbits = _Orbits(G) if G.generators else _NoOrbits()
     all_placements = list(combinations(range(n), size))
+    # per placement index, the cells of V split by distance vector to it;
+    # per class, its canonical spread (0 once the class is located)
+    atoms = _Memo(lambda i: tuple(
+        _split([layers[p] for p in all_placements[i]], start).values()))
+    successors = _Memo(
+        lambda c: orbits.image(_spread(G.adj, c)) if c & (c - 1) else 0)
+    placements = 0
 
-    def atoms_of(i: int) -> tuple[int, ...]:
-        """The cells of V split by distance vector to placement i."""
-        return tuple(_split([layers[p] for p in all_placements[i]],
-                            start).values())
+    def options_of(B: int) -> dict[frozenset, int]:
+        """Each distinct set of successors a placement leads B to, with the
+        index of the first placement that does (0, located, always wins)."""
+        nonlocal placements
+        opts: dict[frozenset, int] = {}
+        charge = B.bit_count() * size
+        for i in orbits.firsts(B, all_placements):
+            budget.spend(charge)
+            placements += 1
+            nexts = frozenset(map(successors.__getitem__,
+                                  map(B.__and__, atoms[i])))
+            opts.setdefault(nexts, i)
+        return opts
 
-    atoms = _Memo(atoms_of)
-
-    def successor(c: int) -> int:
-        """The canonical spread of class c; 0 when c is already located."""
-        if not c & (c - 1):
-            return 0
-        s = _spread(G.adj, c)
-        return _max_image(to, s)[0] if autos else s
-
-    successors = _Memo(successor)
-    # AND-OR reachability: per belief, each distinct set of successors a
-    # placement leads to, with the first placement that does; every
-    # successor must be winning (0 always is).
     options: dict[int, dict[frozenset, int]] = {}
-    placements_evaluated = 0
     try:
-        frontier = [start]
-        while frontier:
-            B = frontier.pop()
-            if B in options:
-                continue
-            opts: dict[frozenset, int] = {}
-            charge = B.bit_count() * size
-            for i in _orbit_firsts(to, autos, B, all_placements):
-                budget.spend(charge)
-                placements_evaluated += 1
-                nexts = frozenset(map(successors.__getitem__,
-                                      map(B.__and__, atoms[i])))
-                opts.setdefault(nexts, i)
-            options[B] = opts
-            frontier.extend(frozenset().union(*opts).difference(options, (0,)))
+        _expand(start, options, options_of)
     except BudgetExceededError:
         return LocDecision("unknown", k, beliefs=len(options),
-                           placements=placements_evaluated,
+                           placements=placements,
                            reason="budget exhausted during belief expansion")
-
-    # Propagate wins from 0: an option fires once all its successors are
-    # winning, and its belief wins with that option's placement.
-    dependents: dict[int, list[list]] = {}
-    for B, opts in options.items():
-        for nexts, i in opts.items():
-            entry = [len(nexts), B, i]
-            for nc in nexts:
-                dependents.setdefault(nc, []).append(entry)
-    winning: dict[int, int] = {}  # belief -> index of its winning placement
-    queue = [0]
-    while queue:
-        for entry in dependents.get(queue.pop(), ()):
-            entry[0] -= 1
-            if entry[0] == 0 and entry[1] not in winning:
-                winning[entry[1]] = entry[2]
-                queue.append(entry[1])
-
-    if start in winning:
-        strategy = {B: all_placements[j] for B, j in winning.items()}
-        return LocDecision("cop-win", k, strategy=strategy,
-                           beliefs=len(options), placements=placements_evaluated)
-    return LocDecision("robber-win", k, beliefs=len(options),
-                       placements=placements_evaluated)
+    winning = _propagate(options)
+    if start not in winning:
+        return LocDecision("robber-win", k, None, len(options), placements)
+    strategy = {B: all_placements[j] for B, j in winning.items()}
+    return LocDecision("cop-win", k, strategy, len(options), placements)
 
 
 class LocNumberResult(NamedTuple):

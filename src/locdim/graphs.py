@@ -18,7 +18,7 @@ from functools import reduce
 from itertools import combinations, compress
 from operator import or_
 
-UNREACHABLE = -1  # dist() sentinel for disconnected pairs
+UNREACHABLE = -1  # distance sentinel for disconnected pairs
 
 
 def bits(m: int) -> list[int]:
@@ -81,14 +81,6 @@ class Graph:
                      for v in row)
 
     # -- distance and neighborhood views -------------------------------------
-
-    def dist(self, u: int, v: int) -> int:
-        """The distance from u to v, UNREACHABLE when no path joins them;
-        read from ``distance_layers(u)`` on each call."""
-        *layers, _ = self.distance_layers(u)  # checks u
-        if not 0 <= v < self.n:
-            raise IndexError(f"vertex {v} outside 0..{self.n - 1}")
-        return next((d for d, m in enumerate(layers) if m >> v & 1), UNREACHABLE)
 
     def distance_layers(self, u: int) -> list[int]:
         """A partition of V by distance from u: the masks of the vertices at

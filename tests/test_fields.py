@@ -13,24 +13,25 @@ ORDERS = (2, 3, 4, 5, 7, 8, 9, 16)
 def test_field_axioms_exhaustively():
     for q in ORDERS:
         F = L.gf(q)
+        add, mul, neg = F.add_table, F.mul_table, F.neg_table
         els = range(q)
         for a in els:
-            assert F.add(a, 0) == a
-            assert F.mul(a, 1) == a
-            assert F.mul(a, 0) == 0
-            assert F.add(a, F.neg(a)) == 0
+            assert add[a][0] == a
+            assert mul[a][1] == a
+            assert mul[a][0] == 0
+            assert add[a][neg[a]] == 0
             if a:
-                assert F.mul(a, F.inv(a)) == 1
+                assert mul[a][F.inv(a)] == 1
             for b in els:
-                assert F.add(a, b) == F.add(b, a)
-                assert F.mul(a, b) == F.mul(b, a)
+                assert add[a][b] == add[b][a]
+                assert mul[a][b] == mul[b][a]
         # associativity and distributivity on a random third of triples
         rng = random.Random(q)
         for _ in range(200):
             a, b, c = rng.randrange(q), rng.randrange(q), rng.randrange(q)
-            assert F.add(F.add(a, b), c) == F.add(a, F.add(b, c))
-            assert F.mul(F.mul(a, b), c) == F.mul(a, F.mul(b, c))
-            assert F.mul(a, F.add(b, c)) == F.add(F.mul(a, b), F.mul(a, c))
+            assert add[add[a][b]][c] == add[a][add[b][c]]
+            assert mul[mul[a][b]][c] == mul[a][mul[b][c]]
+            assert mul[a][add[b][c]] == add[mul[a][b]][mul[a][c]]
 
 
 def test_multiplicative_group_is_cyclic_of_order_q_minus_1():
@@ -40,7 +41,7 @@ def test_multiplicative_group_is_cyclic_of_order_q_minus_1():
             # a^(q-1) = 1 for every nonzero a
             acc = 1
             for _ in range(q - 1):
-                acc = F.mul(acc, a)
+                acc = F.mul_table[acc][a]
             assert acc == 1
 
 
@@ -82,7 +83,7 @@ def test_normalize_point_kills_scaling():
             if p == (0, 0, 0):
                 continue
             lam = rng.randrange(1, q)
-            scaled = tuple(F.mul(lam, c) for c in p)
+            scaled = tuple(F.mul_table[lam][c] for c in p)
             assert L.normalize_point(F, scaled) == L.normalize_point(F, p)
 
 
@@ -94,8 +95,8 @@ def test_dot3_symmetry_and_linearity():
         v = tuple(rng.randrange(8) for _ in range(3))
         w = tuple(rng.randrange(8) for _ in range(3))
         assert dot3(F, u, v) == dot3(F, v, u)
-        vw = tuple(F.add(a, b) for a, b in zip(v, w))
-        assert dot3(F, u, vw) == F.add(dot3(F, u, v), dot3(F, u, w))
+        vw = tuple(F.add_table[a][b] for a, b in zip(v, w))
+        assert dot3(F, u, vw) == F.add_table[dot3(F, u, v)][dot3(F, u, w)]
 
 
 def test_er_polarity_graph_invariants():
@@ -155,7 +156,7 @@ def test_er_masks_match_all_pairs_orthogonality(q):
     def dot(u, v):
         acc = 0
         for a, b in zip(u, v):
-            acc = F.add(acc, F.mul(a, b))
+            acc = F.add_table[acc][F.mul_table[a][b]]
         return acc
 
     pts = P.points

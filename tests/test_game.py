@@ -40,7 +40,7 @@ def test_probe_partition_petersen_single_cop():
     parts = split(P, (0,), mask(range(10)))
     assert parts[(0,)] == mask({0})
     assert parts[(1,)] == P.adj[0]
-    assert parts[(2,)] == mask(u for u in range(P.n) if P.dist(0, u) == 2)
+    assert parts[(2,)] == P.distance_layers(0)[2]
 
 
 def test_probe_partition_is_a_partition():
@@ -119,20 +119,28 @@ def test_loc_decide_pinned_counts_without_generators(k, result, beliefs, placeme
     assert (d.result, d.beliefs, d.placements) == (result, beliefs, placements)
 
 
-# sha256 of the sorted (belief, placement) items of the winning strategy, as
-# computed at commit 164cd7f, when beliefs were canonicalized by mapping each
-# one through every automorphism
+# sha256 of the sorted (belief, placement) items of the winning strategy; the
+# Kneser rows as computed at commit 164cd7f, when beliefs were canonicalized
+# by mapping each one through every automorphism, the ER(3) rows at commit
+# 6acd1bc. "er:3-plain" is ER(3) without its generators (275 beliefs), so
+# each form of the solver's symmetry is pinned.
 STRATEGY_DIGESTS = [
     ("kneser:2:6", 3,
      "7092ccbb32003093e010ad376e3b4d944a9d0fae86ba7a6e5221adb2bc57e8c0"),
     ("kneser:2:7", 4,
      "fe02f688ec05f759969ee28aff6b3070912d4fc7a020a77bd297f7f5a1c07e71"),
+    ("er:3", 3,
+     "1c34d732b06df85caa89295af35f6953079caf1d0359a57fef67fb98590b13e4"),
+    ("er:3-plain", 3,
+     "84ba9a390cb0abca6a080865efdd9aabb817183d03c4c33145465f2d8bac41f2"),
 ]
 
 
 @pytest.mark.parametrize("spec,k,digest", STRATEGY_DIGESTS)
 def test_loc_decide_strategy_digest(spec, k, digest):
-    G = resolve_graph_spec(spec)[0]
+    G = resolve_graph_spec(spec.removesuffix("-plain"))[0]
+    if spec.endswith("-plain"):
+        G = L.Graph(G.n, G.edges)
     d = L.loc_decide(G, k, budget=L.Budget(max_nodes=10**8))
     items = sorted((tuple(bits(B)), P) for B, P in d.strategy.items())
     assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
@@ -145,25 +153,24 @@ SYMMETRIC_SPECS = [f"cycle:{n}" for n in range(3, 13)] + [
 @lru_cache(maxsize=None)
 def symmetry_of(spec: str):
     G = resolve_graph_spec(spec)[0]
-    autos = automorphism_group(G)
-    return G.n, autos, game._target_table(autos, G.n)
+    return G.n, automorphism_group(G), game._Orbits(G)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_table_kernel_matches_per_element_images(data):
-    n, autos, to = symmetry_of(data.draw(st.sampled_from(SYMMETRIC_SPECS)))
+    n, autos, orbits = symmetry_of(data.draw(st.sampled_from(SYMMETRIC_SPECS)))
     b = data.draw(st.integers(min_value=1, max_value=(1 << n) - 1))
     best, reach = image_max_image(autos, n, b)
-    out, C = game._max_image(to, b)
-    assert out == best
+    assert orbits.image(b) == best
+    C = game._max_image(orbits.to, b)[1]
     assert [autos[j] for j in bits(C)] == reach
     # a canonical belief: the elements reaching it are its stabilizer
     stab = image_max_image(autos, n, best)[1]
-    assert [autos[j] for j in bits(game._max_image(to, best)[1])] == stab
+    assert [autos[j] for j in bits(game._max_image(orbits.to, best)[1])] == stab
     for k in (1, 2, 3):
         placements = list(combinations(range(n), k))
-        assert list(game._orbit_firsts(to, autos, best, placements)) == \
+        assert list(orbits.firsts(best, placements)) == \
             image_orbit_firsts(placements, stab)
 
 
@@ -240,9 +247,16 @@ def test_loc_decide_default_scope_guard():
 
 
 def test_loc_decide_budget_exhaustion():
-    d = L.loc_decide(L.petersen(), 3, budget=L.Budget(max_nodes=50))
-    assert d.result == "unknown"
-    assert "budget" in d.reason
+    # the (beliefs, placements) counted when the node budget runs out
+    for spec, max_nodes, counts in [("petersen", 50, (0, 1)),
+                                    ("petersen", 200, (1, 8)),
+                                    ("petersen", 1000, (2, 49)),
+                                    ("er:3", 2000, (1, 62))]:
+        G = resolve_graph_spec(spec)[0]
+        d = L.loc_decide(G, 3, budget=L.Budget(max_nodes=max_nodes))
+        assert d.result == "unknown"
+        assert "budget" in d.reason
+        assert (d.beliefs, d.placements) == counts
 
 
 def test_zeta_of_kneser_2_6_is_three():
