@@ -87,18 +87,18 @@ def _max_image(to: list[list[int]], b: int) -> tuple[int, int]:
 
 
 class _Orbits:
-    """Canonical forms under the group that G's generators produce: each
+    """Canonical forms under ``autos``, a listed permutation group: each
     belief is replaced by its image with the least sorted vertex tuple
     (found with its stabilizer by ``_max_image``, one walk up a table of
     group-element masks), and placements are deduplicated under each
     belief's stabilizer; pruning only removes isomorphic branches, so the
     solver's outcome is schedule-independent."""
 
-    def __init__(self, G: Graph) -> None:
+    def __init__(self, autos: list[tuple[int, ...]]) -> None:
         # to[t][i]: the mask, over indices into autos, of those sending i to t
-        self.autos = autos = automorphism_group(G)
-        rows = [[bytearray(len(autos) + 7 >> 3) for _ in range(G.n)]
-                for _ in range(G.n)]
+        self.autos = autos
+        n = len(autos[0])
+        rows = [[bytearray(len(autos) + 7 >> 3) for _ in range(n)] for _ in range(n)]
         for j, sig in enumerate(autos):
             byte, bit = j >> 3, 1 << (j & 7)
             for v, w in enumerate(sig):
@@ -123,7 +123,7 @@ class _Orbits:
 
 
 class _NoOrbits:
-    """``_Orbits`` of a graph without generators: the trivial group's."""
+    """``_Orbits`` of the trivial group, for a group that is not listed."""
     image = staticmethod(lambda b: b)
     firsts = staticmethod(lambda B, placements: range(len(placements)))
 
@@ -175,12 +175,12 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
     observation class a singleton or a class whose spread wins.
 
     Winning beliefs are downward closed, so placements of size exactly
-    min(k, n) lose no generality. ``_Orbits`` brings in G's symmetry,
+    min(k, n) lose no generality. ``_Orbits`` brings in G's listed group,
     ``_expand`` the beliefs and ``_propagate`` the wins.
 
     Beliefs and observation classes are vertex masks, spread by ``_spread``
     and split by ``_split``. The returned strategy maps each winning belief
-    mask (canonical when G carries generators) to its placement.
+    mask (canonical when G's group is listed) to its placement.
     """
     n = G.n
     if n == 0:
@@ -201,7 +201,7 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
     size = min(k, n)
     start = (1 << n) - 1  # fixed by every automorphism
     layers = [G.distance_layers(v) for v in range(n)]
-    orbits = _Orbits(G) if G.generators else _NoOrbits()
+    orbits = _Orbits(autos) if (autos := automorphism_group(G)) else _NoOrbits()
     all_placements = list(combinations(range(n), size))
     # per placement index, the cells of V split by distance vector to it;
     # per class, its canonical spread (0 once the class is located)

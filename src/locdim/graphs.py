@@ -4,10 +4,11 @@ Vertices are always the dense integers 0..n-1. Families with natural vertex
 names (k-subsets for Kneser graphs, pentagon/pentagram coordinates for the
 Hoffman-Singleton graph) carry them in ``labels``; adjacency logic never
 looks at labels, so one engine serves every family. A graph stores its masks
-and symmetry generators; edges, the group and every distance are derived,
-the distances from one form: ``Graph.distance_layers``, a partition of V by
-distance from a vertex. Kneser graphs (and ER(q), in ``fields``) are built
-and hashed straight from the masks, never as an edge list.
+and symmetry generators, which a family attaches at every size; edges, the
+group (listed by ``automorphism_group``, the one place that caps its size)
+and every distance are derived, each distance from ``distance_layers``.
+Kneser graphs (and ER(q), in ``fields``) are built and hashed straight from
+the masks, never as an edge list.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import hashlib
 import math
 from functools import reduce
 from itertools import combinations, compress
-from operator import or_
+from operator import itemgetter, or_
 
 UNREACHABLE = -1  # distance sentinel for disconnected pairs
 
@@ -67,11 +68,13 @@ class Graph:
         self.labels = labels
         self.name = name
         self.generators = tuple(tuple(sig) for sig in generators or ())
+        # row sig[u], read at sig[0], sig[1], ..., must be row u (linear in n)
+        rows = [format(m, f"0{n}b")[::-1] for m in adj] if self.generators else ()
         for sig in self.generators:
             if sorted(sig) != list(range(n)):
                 raise ValueError(f"generator {sig} is not a permutation of 0..{n - 1}")
-            if any(sum(1 << sig[v] for v in bits(m)) != adj[sig[u]]
-                   for u, m in enumerate(adj)):
+            if any("".join(itemgetter(*sig)(rows[w])) != rows[u]
+                   for u, w in enumerate(sig)):
                 raise ValueError(f"generator {sig} is not an automorphism")
 
     @property
@@ -150,9 +153,12 @@ class Graph:
         return f"<{name}: {self.n} vertices, {sum(self.degrees()) // 2} edges>"
 
 
+_MAX_LISTED_GROUP = 5040  # 7!: the game's ``_Orbits`` keeps n^2 masks of |group| bits
+
+
 def automorphism_group(G: Graph) -> list[tuple[int, ...]] | None:
     """The group that G's generators produce, closed by BFS over
-    compositions; None when G carries no generators."""
+    compositions; None without generators or past ``_MAX_LISTED_GROUP``."""
     if not G.generators:
         return None
     group = [tuple(range(G.n))]
@@ -163,6 +169,8 @@ def automorphism_group(G: Graph) -> list[tuple[int, ...]] | None:
             if img not in seen:
                 seen.add(img)
                 group.append(img)
+                if len(group) > _MAX_LISTED_GROUP:
+                    return None
     return group
 
 
@@ -338,14 +346,6 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, edges, name=f"C{n}", generators=[rotation, reflection])
 
 
-# Kneser graphs up to this n carry generators of the S_n action. Above it the
-# group is too large for ``loc_decide``, the one caller that enumerates it:
-# it lists all n! elements (``automorphism_group``) and keeps a table of
-# |V|^2 masks of n! bits each, which for K(4,8) would be 40,320 tuples and
-# 4,900 masks of 5 KB. ``metric_dimension`` reads only the generators.
-_KNESER_AUTOMORPHISM_MAX_N = 7
-
-
 def kneser_vertex_subsets(k: int, n: int) -> list[tuple[int, ...]]:
     """The vertex labels of K(k,n) as subsets, in vertex-index order."""
     return list(combinations(range(1, n + 1), k))
@@ -370,9 +370,9 @@ def kneser_graph(k: int, n: int) -> Graph:
     sep = "" if n <= 9 else "-"
     labels = [sep.join(map(str, s)) for s in subsets]
     # the transposition (1 2) and the n-cycle (1 2 ... n) generate S_n
+    index = {s: i for i, s in enumerate(subsets)}
     perms = ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1))
-    gens = [tuple(kneser_vertex_index([p[e - 1] for e in s], k, n) for s in subsets)
-            for p in perms] if n <= _KNESER_AUTOMORPHISM_MAX_N else None
+    gens = [[index[tuple(sorted(p[e - 1] for e in s))] for s in subsets] for p in perms]
     G = Graph.__new__(Graph)
     G._init_masks(adj, labels, f"K({k},{n})", gens)
     return G

@@ -399,6 +399,9 @@ GOLDEN = Path(__file__).parent / "golden"
     ("md_exact_er_5.json", ["md", "exact", "--graph", "er:5"]),
     ("md_exact_kneser_2_8.json", ["md", "exact", "--graph", "kneser:2:8"]),
     ("md_construct_hs.json", ["md", "construct", "--graph", "hs"]),
+    # closed in under 1 s only by orbital branching under S_11 and S_12
+    ("md_exact_kneser_2_11.json", ["md", "exact", "--graph", "kneser:2:11"]),
+    ("md_exact_kneser_2_12.json", ["md", "exact", "--graph", "kneser:2:12"]),
 ])
 def test_md_artifacts_match_golden(capsys, golden, argv):
     code, out, _ = run(capsys, *argv)

@@ -153,7 +153,8 @@ SYMMETRIC_SPECS = [f"cycle:{n}" for n in range(3, 13)] + [
 @lru_cache(maxsize=None)
 def symmetry_of(spec: str):
     G = resolve_graph_spec(spec)[0]
-    return G.n, automorphism_group(G), game._Orbits(G)
+    autos = automorphism_group(G)
+    return G.n, autos, game._Orbits(autos)
 
 
 @settings(max_examples=80, deadline=None)
@@ -251,7 +252,9 @@ def test_loc_decide_budget_exhaustion():
     for spec, max_nodes, counts in [("petersen", 50, (0, 1)),
                                     ("petersen", 200, (1, 8)),
                                     ("petersen", 1000, (2, 49)),
-                                    ("er:3", 2000, (1, 62))]:
+                                    ("er:3", 2000, (1, 62)),
+                                    # S_8 is not listed, so the root stays open
+                                    ("kneser:2:8", 200000, (0, 2380))]:
         G = resolve_graph_spec(spec)[0]
         d = L.loc_decide(G, 3, budget=L.Budget(max_nodes=max_nodes))
         assert d.result == "unknown"

@@ -171,8 +171,12 @@ def test_automorphisms_preserve_adjacency():
     assert len(L.automorphism_group(L.kneser_graph(2, 5))) == 120
 
 
-def test_large_kneser_skips_automorphisms():
-    assert L.automorphism_group(L.kneser_graph(2, 8)) is None
+def test_group_above_the_listing_cap_is_not_listed():
+    # K(2,8) carries the two generators of S_8, but 8! passes the 7! cap
+    G = L.kneser_graph(2, 8)
+    assert len(G.generators) == 2
+    assert L.automorphism_group(G) is None
+    assert len(L.automorphism_group(L.kneser_graph(2, 7))) == 5040
 
 
 def test_generators_must_be_automorphisms():
@@ -183,6 +187,14 @@ def test_generators_must_be_automorphisms():
         with pytest.raises(ValueError):
             L.Graph(10, edges, generators=[sig])
     assert L.Graph(10, edges, generators=L.petersen().generators).generators
+    K = L.kneser_graph(2, 12)
+    sig = list(K.generators[1])
+    sig[0], sig[1] = sig[1], sig[0]  # two images swapped
+    with pytest.raises(ValueError):
+        L.Graph(K.n, K.edges, generators=[sig])
+    assert L.Graph(K.n, K.edges, generators=K.generators).generators
+    assert L.Graph(0, [], generators=[()]).generators == ((),)
+    assert L.Graph(1, [], generators=[(0,)]).generators == ((0,),)
 
 
 def test_group_is_sn_action_for_kneser_and_dihedral_for_cycles():

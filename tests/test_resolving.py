@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import locdim as L
 from locdim import resolving as R
+from locdim.cli import resolve_graph_spec
 
 from oracles import (distance_rows, exhaustive_metric_dimension,
                      pair_cover_masks, pair_greedy_resolving,
@@ -232,9 +233,9 @@ def test_search_matches_node_bound_oracle_on_families():
     assert not assert_search_matches_oracle(plain(L.hoffman_singleton()), 20000).exact
 
 
-SYMMETRIC = [L.petersen(), *map(L.cycle_graph, range(3, 11)), L.kneser_graph(2, 6),
-             L.kneser_graph(2, 7), L.er_polarity_graph(3).graph,
-             L.er_polarity_graph(4).graph]
+SYMMETRIC = [L.petersen(), *map(L.cycle_graph, range(3, 11)),
+             *(L.kneser_graph(2, n) for n in range(6, 10)),
+             L.er_polarity_graph(3).graph, L.er_polarity_graph(4).graph]
 
 
 def relabel(G, perm):
@@ -268,13 +269,15 @@ def test_orbital_branching_moves_only_nodes_on_relabelled_families(data):
     assert_symmetry_moves_only_nodes(relabel(G, data.draw(st.permutations(range(G.n)))))
 
 
-def test_er5_closes_under_30000_nodes_and_never_enumerates_the_group(monkeypatch):
+@pytest.mark.parametrize("spec", ["er:5", "kneser:2:12"])
+def test_closes_under_30000_nodes_and_never_enumerates_the_group(monkeypatch, spec):
     def enumerate_group(G):
         raise AssertionError("the search enumerated the group")
     for name, module in list(sys.modules.items()):
         if name.startswith("locdim") and hasattr(module, "automorphism_group"):
             monkeypatch.setattr(module, "automorphism_group", enumerate_group)
-    res = L.metric_dimension(L.er_polarity_graph(5).graph, L.Budget(max_nodes=30_000))
+    G = resolve_graph_spec(spec)[0]
+    res = L.metric_dimension(G, L.Budget(max_nodes=30_000))
     assert res.exact and res.value == 8
 
 
