@@ -18,8 +18,8 @@ _HOMES = {
     "graphs": ("Graph", "automorphism_group", "cycle_graph",
                "graph_from_json_dict", "graph_girth", "graph_hash",
                "graph_to_dot", "graph_to_json_dict", "hoffman_singleton",
-               "is_moore_diam2", "kneser_graph", "kneser_vertex_index",
-               "kneser_vertex_subsets", "petersen"),
+               "is_moore_diam2", "kneser_graph", "kneser_vertex_subsets",
+               "petersen"),
     "hypergraphs": ("DetectResult", "Detection", "GadgetSearchResult",
                     "Hypergraph", "berge_girth", "certify_detectable",
                     "default_regularity", "detection_vector",

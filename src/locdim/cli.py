@@ -151,7 +151,7 @@ def cmd_hyper_detect(args):
 def cmd_hyper_girth(args):
     from . import berge_girth
     H = _load_hypergraph(args)
-    return {"n": H.n, "edges": H.num_edges,
+    return {"n": H.n, "edges": len(H.edges),
             "berge_girth": _or_infinity(berge_girth(H))}, 0
 
 

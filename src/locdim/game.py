@@ -17,9 +17,9 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .budget import Budget, BudgetExceededError
-from .graphs import (UNREACHABLE, Graph, automorphism_group, bits, graph_hash,
-                     is_moore_diam2)
-from .resolving import _least, greedy_resolving
+from .graphs import (UNREACHABLE, Graph, _least, automorphism_group, bits,
+                     graph_hash, is_moore_diam2)
+from .resolving import greedy_resolving
 
 # Budget units: |belief| x cops for every placement evaluated.
 DEFAULT_LOC_BUDGET = 5 * 10**7
@@ -200,7 +200,7 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
         budget = Budget(max_nodes=DEFAULT_LOC_BUDGET)
     size = min(k, n)
     start = (1 << n) - 1  # fixed by every automorphism
-    layers = [G.distance_layers(v) for v in range(n)]
+    layers = _Memo(G.distance_layers)  # a cop's BFS runs when first placed
     orbits = _Orbits(autos) if (autos := automorphism_group(G)) else _NoOrbits()
     all_placements = list(combinations(range(n), size))
     # per placement index, the cells of V split by distance vector to it;

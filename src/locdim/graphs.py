@@ -5,8 +5,8 @@ names (k-subsets for Kneser graphs, pentagon/pentagram coordinates for the
 Hoffman-Singleton graph) carry them in ``labels``; adjacency logic never
 looks at labels, so one engine serves every family. A graph stores its masks
 and symmetry generators, which a family attaches at every size; edges, the
-group (listed by ``automorphism_group``, the one place that caps its size)
-and every distance are derived, each distance from ``distance_layers``.
+group (``automorphism_group`` lists it while n * |group| <= 35 * 7!, the one
+size cap) and every distance are derived, each from ``distance_layers``.
 Kneser graphs (and ER(q), in ``fields``) are built and hashed straight from
 the masks, never as an edge list.
 """
@@ -30,6 +30,11 @@ def bits(m: int) -> list[int]:
         out.append(low.bit_length() - 1)
         m ^= low
     return out
+
+
+def _least(m: int) -> int:
+    """The position of the lowest set bit of m > 0."""
+    return (m & -m).bit_length() - 1
 
 
 class Graph:
@@ -107,12 +112,6 @@ class Graph:
         layers.append(full ^ seen)
         return layers
 
-    def neighbors(self, u: int) -> frozenset:
-        return frozenset(bits(self.adj[u]))
-
-    def degree(self, u: int) -> int:
-        return self.adj[u].bit_count()
-
     def degrees(self) -> tuple[int, ...]:
         return tuple(m.bit_count() for m in self.adj)
 
@@ -153,12 +152,14 @@ class Graph:
         return f"<{name}: {self.n} vertices, {sum(self.degrees()) // 2} edges>"
 
 
-_MAX_LISTED_GROUP = 5040  # 7!: the game's ``_Orbits`` keeps n^2 masks of |group| bits
+_MAX_LISTING = 35 * 5040  # n * |group| of K(3,7), the largest a game reads
 
 
 def automorphism_group(G: Graph) -> list[tuple[int, ...]] | None:
     """The group that G's generators produce, closed by BFS over
-    compositions; None without generators or past ``_MAX_LISTED_GROUP``."""
+    compositions; None without generators, or as soon as n * |group| passes
+    ``_MAX_LISTING``: neither a larger listing nor the game's n^2 masks of
+    |group| bits is ever built."""
     if not G.generators:
         return None
     group = [tuple(range(G.n))]
@@ -169,7 +170,7 @@ def automorphism_group(G: Graph) -> list[tuple[int, ...]] | None:
             if img not in seen:
                 seen.add(img)
                 group.append(img)
-                if len(group) > _MAX_LISTED_GROUP:
+                if G.n * len(group) > _MAX_LISTING:
                     return None
     return group
 
@@ -321,13 +322,16 @@ def graph_girth(G: Graph) -> int | float:
 
 
 def is_moore_diam2(G: Graph) -> int | None:
-    """The degree k when G is k-regular of diameter 2, girth 5, order k^2+1."""
+    """The degree k when G is k-regular of diameter 2, girth 5, order k^2+1.
+
+    The diameter needs no pass of its own: at girth 5 the k neighbors of
+    any vertex and their k(k-1) further neighbors are all distinct, so
+    with the vertex itself they are all k^2+1 vertices.
+    """
     k = G.regularity()
     if k is None or k < 2:
         return None
     if G.n != k * k + 1:
-        return None
-    if G.diameter() != 2:
         return None
     if graph_girth(G) != 5:
         return None
@@ -376,20 +380,6 @@ def kneser_graph(k: int, n: int) -> Graph:
     G = Graph.__new__(Graph)
     G._init_masks(adj, labels, f"K({k},{n})", gens)
     return G
-
-
-def kneser_vertex_index(subset, k: int, n: int) -> int:
-    """Lexicographic rank of a k-subset of {1..n} among all k-subsets."""
-    s = tuple(sorted(subset))
-    if len(s) != k or len(set(s)) != k or s[0] < 1 or s[-1] > n:
-        raise ValueError(f"{subset} is not a k-subset of 1..{n}")
-    rank = 0
-    prev = 0
-    for pos, value in enumerate(s):
-        for skipped in range(prev + 1, value):
-            rank += math.comb(n - skipped, k - pos - 1)
-        prev = value
-    return rank
 
 
 def petersen() -> Graph:

@@ -3,7 +3,7 @@
 Hypergraph vertices are the integers 1..n (matching the subset labels of
 Kneser vertices, which is what the conversion operations trade in). Edges
 keep their construction order so detection vectors stay aligned with them;
-duplicate edges are representable but flagged.
+duplicate edges are representable.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .budget import Budget, BudgetExceededError
-from .graphs import (Graph, graph_girth, kneser_vertex_index,
-                     kneser_vertex_subsets)
+from .graphs import Graph, graph_girth, kneser_vertex_subsets
 
 DEFAULT_DETECT_BUDGET = 10**8  # vector-entry comparisons
 
@@ -51,18 +50,6 @@ class Hypergraph:
             clean.append(t)
         self.n = n
         self.edges = tuple(clean)
-
-    @classmethod
-    def from_graph(cls, G: Graph) -> "Hypergraph":
-        """The 2-uniform hypergraph of a graph's edge set, shifted to 1-based."""
-        return cls(G.n, [(u + 1, v + 1) for u, v in G.edges])
-
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
-    def has_duplicate_edges(self) -> bool:
-        return len(set(self.edges)) != len(self.edges)
 
     def max_edge_cardinality(self) -> int:
         return max((len(e) for e in self.edges), default=0)
@@ -207,7 +194,8 @@ def hypergraph_to_resolving(H: Hypergraph, k: int, n: int) -> tuple[int, ...]:
         raise ValueError(f"hypergraph is on {H.n} vertices, expected {n}")
     if H.uniformity() != k:
         raise ValueError(f"hypergraph must be {k}-uniform")
-    return tuple(sorted(kneser_vertex_index(e, k, n) for e in set(H.edges)))
+    index = {s: i for i, s in enumerate(kneser_vertex_subsets(k, n))}
+    return tuple(sorted(index[e] for e in set(H.edges)))
 
 
 def resolving_to_hypergraph(S, k: int, n: int) -> Hypergraph:

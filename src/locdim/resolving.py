@@ -19,8 +19,8 @@ import math
 from typing import TYPE_CHECKING, NamedTuple
 
 from .budget import Budget, BudgetExceededError
-from .graphs import (Graph, bits, graph_hash, is_moore_diam2, orbit_reps,
-                     point_stabilizer)
+from .graphs import (Graph, _least, bits, graph_hash, is_moore_diam2,
+                     orbit_reps, point_stabilizer)
 
 if TYPE_CHECKING:
     from .fields import PolarityGraph
@@ -45,11 +45,6 @@ class ResolvingCertificate(NamedTuple):
         if self.witness_pair is not None:
             out["witness_pair"] = list(self.witness_pair)
         return out
-
-
-def _least(m: int) -> int:
-    """The position of the lowest set bit of m > 0."""
-    return (m & -m).bit_length() - 1
 
 
 def is_resolving(G: Graph, S) -> ResolvingCertificate:
@@ -279,29 +274,20 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
     return MetricDimensionResult(lower, len(best), landmarks, exact, cert, budget.nodes)
 
 
-def moore_resolving(G: Graph, u: int | None = None, v: int | None = None,
-                    w: int | None = None) -> tuple[int, ...]:
-    """The 2k-3 vertices (N(u) u N(v)) minus {u, v, w} for adjacent u, v and
-    w in N(v)\\{u}; a resolving set of any k-regular diameter-2 Moore graph
-    with k >= 3."""
+def moore_resolving(G: Graph) -> tuple[int, ...]:
+    """The 2k-3 vertices (N(u) u N(v)) minus {u, v, w}, a resolving set of
+    any k-regular diameter-2 Moore graph with k >= 3. Any adjacent u, v and
+    any w in N(v)\\{u} resolve; here u = 0, v is its least neighbor and w
+    the least vertex of N(v)\\{u}."""
     k = is_moore_diam2(G)
     if k is None:
         raise ValueError("graph is not a diameter-2 Moore graph")
     if k < 3:
         raise ValueError(f"construction needs regularity k >= 3, got k={k}")
-    if u is None:
-        u = 0
-    if not 0 <= u < G.n:
-        raise ValueError(f"u={u} is not a vertex")
-    if v is None:
-        v = min(G.neighbors(u))
-    if v not in G.neighbors(u):
-        raise ValueError(f"v={v} must be a neighbor of u={u}")
-    if w is None:
-        w = min(G.neighbors(v) - {u})
-    if w not in G.neighbors(v) or w == u:
-        raise ValueError(f"w={w} must be in N(v) minus u")
-    S = tuple(sorted((G.neighbors(u) | G.neighbors(v)) - {u, v, w}))
+    adj = G.adj
+    v = _least(adj[0])
+    w = _least(adj[v] & ~1)
+    S = tuple(bits((adj[0] | adj[v]) & ~(1 | 1 << v | 1 << w)))
     assert len(S) == 2 * k - 3  # adjacent neighborhoods are disjoint at girth 5
     return S
 
@@ -309,13 +295,13 @@ def moore_resolving(G: Graph, u: int | None = None, v: int | None = None,
 def polarity_resolving(P: PolarityGraph) -> tuple[int, ...]:
     """(N(u) u N(v)) minus {u, v} for the least absolute vertex u and its
     least neighbor v; 2q-1 vertices resolving a polarity graph."""
-    G = P.graph
     if not P.absolute:
         raise ValueError("polarity graph has no degree-q (absolute) vertex")
+    adj = P.graph.adj
     u = min(P.absolute)
-    assert G.degree(u) == P.q
-    v = min(G.neighbors(u))
-    S = tuple(sorted((G.neighbors(u) | G.neighbors(v)) - {u, v}))
+    assert adj[u].bit_count() == P.q
+    v = _least(adj[u])
+    S = tuple(bits((adj[u] | adj[v]) & ~(1 << u | 1 << v)))
     # No triangle passes through an absolute vertex, so the neighborhoods
     # are disjoint and v is non-absolute of degree q+1.
     assert len(S) == 2 * P.q - 1

@@ -9,9 +9,10 @@ kernels, and the ``image_*`` ones of the game solver's symmetry pruning,
 kept as references that the faster ones must match exactly.
 ``json_graph_hash`` is the structural hash as first defined: the whole
 edge list serialized at once. Distances come from networkx BFS
-(``distance_rows``), never from the package. ``adjacent``, ``dot3``,
-``has_c4`` and ``check_degree_properties`` are checks that only the tests
-call.
+(``distance_rows``), never from the package, and neighborhoods from the
+edge list (``neighbors``). ``moore_degree`` recognizes Moore graphs with
+an explicit diameter test. ``adjacent``, ``dot3``, ``has_c4`` and
+``check_degree_properties`` are checks that only the tests call.
 """
 
 import hashlib
@@ -28,6 +29,11 @@ def to_nx(G) -> nx.Graph:
     H.add_nodes_from(range(G.n))
     H.add_edges_from(G.edges)
     return H
+
+
+def neighbors(G, v: int) -> frozenset:
+    """The neighbors of v, read off the edge list ``G.edges``."""
+    return frozenset(b if a == v else a for a, b in G.edges if v in (a, b))
 
 
 def distance_rows(G) -> list[list[int]]:
@@ -118,6 +124,20 @@ def bfs_girth(adj: dict) -> float:
     return best
 
 
+def moore_degree(G):
+    """k when G is k-regular with k >= 2, has k^2+1 vertices, diameter 2
+    (by networkx) and girth 5 (by ``bfs_girth``); else None."""
+    H = to_nx(G)
+    degrees = {d for _, d in H.degree()}
+    k = degrees.pop() if len(degrees) == 1 else None
+    if k is None or k < 2 or G.n != k * k + 1:
+        return None
+    if not nx.is_connected(H) or nx.diameter(H) != 2:
+        return None
+    adj = {v: neighbors(G, v) for v in range(G.n)}
+    return k if bfs_girth(adj) == 5 else None
+
+
 def oracle_berge_girth(H) -> float:
     """Berge girth as half the girth of the bipartite incidence graph."""
     adj = {("v", u): set() for u in range(1, H.n + 1)}
@@ -139,6 +159,10 @@ def sweep_loc_decide(G, k: int) -> str:
         return "robber-win"
     placements = list(combinations(range(n), min(k, n)))
     rows = distance_rows(G)
+    closed = {v: {v} for v in range(n)}
+    for a, b in G.edges:
+        closed[a].add(b)
+        closed[b].add(a)
     start = frozenset(range(n))
     succ = {}
     stack = [start]
@@ -154,11 +178,7 @@ def sweep_loc_decide(G, k: int) -> str:
             nxt = []
             for g in groups.values():
                 if len(g) > 1:
-                    sp = set()
-                    for u in g:
-                        sp.add(u)
-                        sp.update(G.neighbors(u))
-                    nxt.append(frozenset(sp))
+                    nxt.append(frozenset().union(*(closed[u] for u in g)))
             opts.append(nxt)
         succ[B] = opts
         for nxt in opts:

@@ -177,11 +177,11 @@ def test_criterion_09_girth5_corpus_detectable():
     checked = 0
     for G in corpus:
         assert L.graph_girth(G) >= 5
-        mindeg = min(len(G.neighbors(v)) for v in range(G.n))
+        mindeg = min(G.degrees())
         for kprime in (1, 2):
             if 2 * mindeg < kprime + 2:
                 continue
-            H = L.Hypergraph.from_graph(G)
+            H = L.Hypergraph(G.n, [(u + 1, v + 1) for u, v in G.edges])
             assert L.is_detectable(H, kprime).detectable, (G.n, kprime)
             checked += 1
     assert checked >= 20

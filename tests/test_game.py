@@ -13,7 +13,7 @@ from locdim.cli import resolve_graph_spec
 from locdim.graphs import automorphism_group, bits
 
 from oracles import (adjacent, image_max_image, image_orbit_firsts,
-                     sweep_loc_decide)
+                     neighbors, sweep_loc_decide)
 
 
 def mask(vertices) -> int:
@@ -31,7 +31,7 @@ def test_spread_is_union_of_closed_neighborhoods():
     for B in ({0}, {0, 1, 2}, set(range(10))):
         expect = set()
         for v in B:
-            expect |= P.neighbors(v) | {v}
+            expect |= neighbors(P, v) | {v}
         assert game._spread(P.adj, mask(B)) == mask(expect)
 
 
@@ -262,6 +262,21 @@ def test_loc_decide_budget_exhaustion():
         assert (d.beliefs, d.placements) == counts
 
 
+def test_capped_game_builds_only_the_layers_it_reads():
+    calls = []
+
+    class CountingGraph(L.Graph):
+        def distance_layers(self, u):
+            calls.append(u)
+            return super().distance_layers(u)
+
+    K = L.kneser_graph(2, 30)  # 435 vertices; S_30 is not listed
+    G = CountingGraph(K.n, K.edges, generators=K.generators)
+    d = L.loc_decide(G, 1, L.Budget(max_nodes=1000))
+    assert d.result == "unknown" and (d.beliefs, d.placements) == (0, 2)
+    assert sorted(calls) == [0, 1]  # the two placements' cops, not all 435
+
+
 def test_zeta_of_kneser_2_6_is_three():
     G = L.kneser_graph(2, 6)
     budget = L.Budget(max_nodes=10**9)
@@ -323,7 +338,7 @@ def test_moore_strategy_opening_shape():
     P, tag = strat.decide(None)
     assert tag == "init"
     assert len(P) == 7
-    nbrs = sorted(HS.neighbors(0))
+    nbrs = sorted(neighbors(HS, 0))
     assert set(nbrs[1:]) <= set(P)  # all of N(0) except the spared y
     assert nbrs[0] not in P
 
@@ -345,7 +360,7 @@ def test_moore_strategy_endgame_always_locates():
     HS = L.hoffman_singleton()
     strat = L.moore_strategy(HS)
     for u in (0, 17, 42):
-        nbrs = sorted(HS.neighbors(u))
+        nbrs = sorted(neighbors(HS, u))
         for a1, a2 in combinations(nbrs, 2):
             assert not adjacent(HS, a1, a2)  # neighborhoods are independent
             C = mask({a1, a2})
@@ -362,7 +377,7 @@ def test_moore_strategy_middle_stage_shrinks_classes():
     HS = L.hoffman_singleton()
     strat = L.moore_strategy(HS)
     u = 5
-    nbrs = sorted(HS.neighbors(u))
+    nbrs = sorted(neighbors(HS, u))
     for size in (3, 4, 5, 6):
         A = mask(nbrs[:size])
         P, tag = strat.decide(A)
@@ -448,7 +463,7 @@ def test_verify_computes_each_cops_layers_once():
 
     HS = L.hoffman_singleton()
     G = CountingGraph(HS.n, HS.edges)
-    strategy = L.moore_strategy(G)  # checks the Moore property by BFS
+    strategy = L.moore_strategy(G)  # checks the Moore property
     calls.clear()
     report = L.verify_strategy(G, strategy, 7)
     assert report.outcome == "captured" and report.classes_explored == 1513

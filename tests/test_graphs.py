@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from itertools import combinations, permutations
 
 import networkx as nx
@@ -14,7 +15,7 @@ from locdim.graphs import UNREACHABLE, bits, orbit_reps, point_stabilizer
 
 from oracles import (adjacent, bfs_girth, distance_rows,
                      distance_vector_groups, first_repeated_vector, has_c4,
-                     json_graph_hash, to_nx)
+                     json_graph_hash, moore_degree, neighbors, to_nx)
 
 
 def layer_rows(G):
@@ -97,6 +98,20 @@ def test_moore_recognition():
     assert L.is_moore_diam2(L.er_polarity_graph(3).graph) is None
 
 
+def test_moore_recognition_matches_a_diameter_oracle():
+    # is_moore_diam2 reads the diameter off regularity, order and girth;
+    # the oracle tests it outright
+    graphs = [*map(L.cycle_graph, range(3, 13)),
+              *(L.kneser_graph(2, n) for n in range(5, 9)),
+              *(L.er_polarity_graph(q).graph for q in range(2, 6)),
+              L.hoffman_singleton()]
+    graphs += [L.Graph(10, nx.random_regular_graph(3, 10, seed=s).edges)
+               for s in range(40)]
+    found = [L.is_moore_diam2(G) for G in graphs]
+    assert found == [moore_degree(G) for G in graphs]
+    assert {2, 3, 7} <= set(found)  # C5, K(2,5) and HS
+
+
 def test_hoffman_singleton_structure():
     HS = L.hoffman_singleton()
     assert HS.n == 50
@@ -140,13 +155,6 @@ def test_kneser_counts_and_adjacency():
             assert list(L.kneser_graph(k, n).edges) == disjoint, (k, n)
 
 
-def test_kneser_vertex_index_inverts_subsets():
-    for k, n in ((2, 6), (3, 7)):
-        subsets = L.kneser_vertex_subsets(k, n)
-        for i, s in enumerate(subsets):
-            assert L.kneser_vertex_index(s, k, n) == i
-
-
 def test_kneser_labels():
     G = L.kneser_graph(2, 6)
     assert G.label_of(0) == "12"
@@ -172,11 +180,23 @@ def test_automorphisms_preserve_adjacency():
 
 
 def test_group_above_the_listing_cap_is_not_listed():
-    # K(2,8) carries the two generators of S_8, but 8! passes the 7! cap
-    G = L.kneser_graph(2, 8)
+    # a group is listed while n * |group| <= 35 * 7!, K(3,7)'s listing
+    G = L.kneser_graph(2, 8)  # 28 * 8! passes it
     assert len(G.generators) == 2
     assert L.automorphism_group(G) is None
     assert len(L.automorphism_group(L.kneser_graph(2, 7))) == 5040
+    assert len(L.automorphism_group(L.kneser_graph(3, 7))) == 5040
+    assert len(L.automorphism_group(L.cycle_graph(296))) == 2 * 296
+    assert L.automorphism_group(L.cycle_graph(297)) is None
+    # the listing stops at the cap: at most 35 * 7! entries are ever held
+    K = L.kneser_graph(2, 30)
+    tracemalloc.start()
+    try:
+        assert L.automorphism_group(K) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def test_generators_must_be_automorphisms():
@@ -272,7 +292,7 @@ def test_girth_matches_oracle_on_random_graphs():
         n = rng.randint(4, 9)
         edges = [e for e in combinations(range(n), 2) if rng.random() < 0.35]
         G = L.Graph(n, edges)
-        adj = {v: set(G.neighbors(v)) for v in range(n)}
+        adj = {v: neighbors(G, v) for v in range(n)}
         assert L.graph_girth(G) == bfs_girth(adj)
 
 
@@ -311,8 +331,8 @@ def test_distance_layers_rejects_vertices_outside_the_graph():
 
 def test_neighborhood_helpers():
     P = L.petersen()
-    v = 0
-    assert P.degree(v) == 3 and P.degrees() == (3,) * 10
+    assert P.degrees() == (3,) * 10
+    assert P.degrees() == tuple(len(neighbors(P, v)) for v in range(10))
 
 
 def test_construction_validation():
@@ -354,7 +374,7 @@ def test_distance_axioms(G):
 @settings(max_examples=60, deadline=None)
 @given(small_graphs())
 def test_girth_oracle_property(G):
-    adj = {v: set(G.neighbors(v)) for v in range(G.n)}
+    adj = {v: neighbors(G, v) for v in range(G.n)}
     assert L.graph_girth(G) == bfs_girth(adj)
 
 

@@ -14,6 +14,11 @@ def six_cycle():
     return L.Hypergraph(6, [(1, 2), (1, 6), (2, 3), (3, 4), (4, 5), (5, 6)])
 
 
+def edge_hypergraph(G):
+    """The 2-uniform hypergraph of G's edges, shifted to vertices 1..n."""
+    return L.Hypergraph(G.n, [(u + 1, v + 1) for u, v in G.edges])
+
+
 def fano_plane():
     return L.Hypergraph(7, [(1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7),
                             (5, 6, 1), (6, 7, 2), (7, 1, 3)])
@@ -32,21 +37,20 @@ def test_construction_validation():
 
 def test_accessors():
     H = six_cycle()
-    assert H.num_edges == 6
+    assert len(H.edges) == 6
     assert H.uniformity() == 2
     assert H.max_edge_cardinality() == 2
     assert H.degrees() == (2,) * 6
     assert H.regularity() == 2
-    assert not H.has_duplicate_edges()
-    assert L.Hypergraph(3, [(1, 2), (2, 1)]).has_duplicate_edges()
+    assert L.Hypergraph(3, [(1, 2), (2, 1)]).edges == ((1, 2), (1, 2))
     mixed = L.Hypergraph(4, [(1, 2), (1, 2, 3)])
     assert mixed.uniformity() is None
     assert mixed.max_edge_cardinality() == 3
 
 
-def test_from_graph():
-    H = L.Hypergraph.from_graph(L.petersen())
-    assert H.n == 10 and H.num_edges == 15
+def test_berge_girth_of_a_graph_is_its_girth():
+    H = edge_hypergraph(L.petersen())
+    assert H.n == 10 and len(H.edges) == 15
     assert H.uniformity() == 2
     assert L.berge_girth(H) == 5
 
@@ -127,10 +131,10 @@ def test_berge_girth_matches_oracle_on_random_hypergraphs():
 
 
 def test_certificate():
-    C5 = L.Hypergraph.from_graph(L.cycle_graph(5))
+    C5 = edge_hypergraph(L.cycle_graph(5))
     assert L.certify_detectable(C5, 2)
     assert L.certify_detectable(C5, 1)
-    triangle = L.Hypergraph.from_graph(L.cycle_graph(3))
+    triangle = edge_hypergraph(L.cycle_graph(3))
     assert not L.certify_detectable(triangle, 2)  # girth 3
     sparse = L.Hypergraph(6, [(1, 2), (3, 4), (5, 6)])
     assert not L.certify_detectable(sparse, 2)  # degree 1 too small
@@ -163,6 +167,23 @@ def test_conversions_roundtrip():
     assert H2.canonical_edges() == H.canonical_edges()
     cert = L.is_resolving(L.kneser_graph(2, 6), S)
     assert cert.verified
+
+
+def test_conversion_round_trips_every_kneser_subset():
+    # a k-subset of 1..n, as a one-edge hypergraph, is the K(k,n) vertex
+    # it labels, and that vertex converts back to it
+    rng = random.Random(4)
+    for k, n in ((2, 6), (3, 9)):
+        subsets = L.kneser_vertex_subsets(k, n)
+        G = L.kneser_graph(k, n)
+        for i, s in enumerate(subsets):
+            reversed_edge = L.Hypergraph(n, [s[::-1]])
+            assert L.hypergraph_to_resolving(reversed_edge, k, n) == (i,)
+            assert L.resolving_to_hypergraph((i,), k, n).edges == (s,)
+            assert G.label_of(i) == "".join(map(str, s))
+        shuffled = rng.sample(subsets, len(subsets))
+        everything = L.hypergraph_to_resolving(L.Hypergraph(n, shuffled), k, n)
+        assert everything == tuple(range(math.comb(n, k)))
 
 
 def test_conversion_validation():
@@ -200,7 +221,7 @@ def test_gadget_search_k2_r3_finds_petersen():
     res = L.search_girth5_gadget(2, regularity=3, budget=budget)
     assert budget.nodes == 133
     H = res.gadget
-    assert H is not None and H.n == 10 and H.num_edges == 15
+    assert H is not None and H.n == 10 and len(H.edges) == 15
     assert H.regularity() == 3
     assert L.berge_girth(H) == 5
     A = nx.Graph([(u - 1, v - 1) for u, v in H.edges])

@@ -12,7 +12,7 @@ import locdim as L
 from locdim import resolving as R
 from locdim.cli import resolve_graph_spec
 
-from oracles import (distance_rows, exhaustive_metric_dimension,
+from oracles import (distance_rows, exhaustive_metric_dimension, neighbors,
                      pair_cover_masks, pair_greedy_resolving,
                      pair_metric_dimension, randomized_resolving)
 
@@ -306,16 +306,28 @@ def test_moore_resolving_sizes():
     assert L.is_resolving(HS, S).verified
 
 
+def moore_set(G, u: int, v: int, w: int) -> tuple[int, ...]:
+    """N(u) u N(v) minus {u, v, w}, from the edge list."""
+    return tuple(sorted((neighbors(G, u) | neighbors(G, v)) - {u, v, w}))
+
+
 def test_moore_resolving_respects_choices():
-    HS = L.hoffman_singleton()
-    u = 3
-    v = sorted(HS.neighbors(u))[2]
-    w = sorted(HS.neighbors(v) - {u})[1]
-    S = L.moore_resolving(HS, u=u, v=v, w=w)
-    assert u not in S and v not in S and w not in S
-    assert L.is_resolving(HS, S).verified
-    with pytest.raises(ValueError):
-        L.moore_resolving(HS, u=0, v=0)  # v must neighbor u
+    # the package takes u = 0, its least neighbor v and the least w in
+    # N(v) - {u}; any adjacent u, v and any such w resolve
+    P, HS = L.petersen(), L.hoffman_singleton()
+    for G in (P, HS):
+        v = min(neighbors(G, 0))
+        assert L.moore_resolving(G) == moore_set(G, 0, v, min(neighbors(G, v) - {0}))
+    rng = random.Random(11)
+    for G, k, sample in ((P, 3, None), (HS, 7, 40)):
+        triples = [(u, v, w) for a, b in G.edges for u, v in ((a, b), (b, a))
+                   for w in sorted(neighbors(G, v) - {u})]
+        if sample is not None:
+            triples = rng.sample(triples, sample)
+        for u, v, w in triples:
+            S = moore_set(G, u, v, w)
+            assert len(S) == 2 * k - 3
+            assert L.is_resolving(G, S).verified, (u, v, w)
 
 
 def test_moore_resolving_rejects_non_moore():
