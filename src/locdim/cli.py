@@ -28,7 +28,8 @@ from pathlib import Path
 from .budget import Budget, BudgetExceededError
 from .graphs import (Graph, cycle_graph, graph_from_json_dict, graph_hash,
                      graph_to_dot, graph_to_json_dict, graph_girth,
-                     hoffman_singleton, is_moore_diam2, kneser_graph, petersen)
+                     hoffman_singleton, is_moore_diam2, kneser_graph,
+                     kneser_labels, petersen)
 
 # Handlers import solver names from the package, which loads their modules on
 # first use; so rebinding the package's names (as perfbench does) reaches them.
@@ -171,8 +172,8 @@ def cmd_hyper_convert(args):
                 "size": len(S)}, 0
     if args.set is None:
         raise ValueError("to-hypergraph needs --set")
-    G = kneser_graph(args.k, args.n)
-    S = parse_vertex_set(G, args.set)
+    labels = kneser_labels(args.k, args.n)  # K(k,n) itself is not needed
+    S = parse_vertex_set(Graph(len(labels), (), labels=labels), args.set)
     return resolving_to_hypergraph(S, args.k, args.n).to_json_dict(), 0
 
 

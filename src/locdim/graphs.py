@@ -355,14 +355,22 @@ def kneser_vertex_subsets(k: int, n: int) -> list[tuple[int, ...]]:
     return list(combinations(range(1, n + 1), k))
 
 
-def kneser_graph(k: int, n: int) -> Graph:
-    """Vertices are the k-subsets of {1..n} in lexicographic order; edges join
-    disjoint subsets. With holders[e] the mask of the subsets that contain e,
-    S is joined to every vertex outside the holders of its elements."""
+def kneser_labels(k: int, n: int) -> list[str]:
+    """The labels of K(k,n)'s vertices, in vertex-index order: each subset's
+    elements, run together when n <= 9 and joined by "-" beyond."""
     if k < 1 or n < 1:
         raise ValueError("k and n must be positive")
     if k >= n:
         raise ValueError(f"need k < n, got k={k}, n={n}")
+    sep = "" if n <= 9 else "-"
+    return [sep.join(map(str, s)) for s in combinations(range(1, n + 1), k)]
+
+
+def kneser_graph(k: int, n: int) -> Graph:
+    """Vertices are the k-subsets of {1..n} in lexicographic order; edges join
+    disjoint subsets. With holders[e] the mask of the subsets that contain e,
+    S is joined to every vertex outside the holders of its elements."""
+    labels = kneser_labels(k, n)
     subsets = kneser_vertex_subsets(k, n)
     holders = [0] * (n + 1)
     for i, s in enumerate(subsets):
@@ -370,9 +378,6 @@ def kneser_graph(k: int, n: int) -> Graph:
             holders[e] |= 1 << i
     full = (1 << len(subsets)) - 1
     adj = [full ^ reduce(or_, [holders[e] for e in s]) for s in subsets]
-    # Single digits concatenate unambiguously; beyond 9 use a separator.
-    sep = "" if n <= 9 else "-"
-    labels = [sep.join(map(str, s)) for s in subsets]
     # the transposition (1 2) and the n-cycle (1 2 ... n) generate S_n
     index = {s: i for i, s in enumerate(subsets)}
     perms = ((2, 1, *range(3, n + 1)), (*range(2, n + 1), 1))

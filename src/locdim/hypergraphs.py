@@ -194,8 +194,12 @@ def hypergraph_to_resolving(H: Hypergraph, k: int, n: int) -> tuple[int, ...]:
         raise ValueError(f"hypergraph is on {H.n} vertices, expected {n}")
     if H.uniformity() != k:
         raise ValueError(f"hypergraph must be {k}-uniform")
-    index = {s: i for i, s in enumerate(kneser_vertex_subsets(k, n))}
-    return tuple(sorted(index[e] for e in set(H.edges)))
+    # The lexicographic rank of {c_1 < ... < c_k}: C(n, k) - 1 minus the
+    # subsets after it, C(n - c_i, k - i + 1) of which first differ at
+    # place i, there exceeding c_i.
+    top = math.comb(n, k) - 1
+    return tuple(sorted({top - sum(math.comb(n - c, k - i) for i, c in enumerate(e))
+                         for e in H.edges}))
 
 
 def resolving_to_hypergraph(S, k: int, n: int) -> Hypergraph:

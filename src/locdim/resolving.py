@@ -11,6 +11,11 @@ every child from above, and children are pruned against them before they
 are entered. A graph's generators prune symmetric siblings by orbital
 branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Programming 126,
 2011); each node's group is carried as stabilizer generators, never listed.
+A graph without generators is searched fail-first (Haralick and Elliott,
+Artificial Intelligence 14, 1980): each node branches on the uncovered pair
+with the fewest separating landmarks, read off a pair order built once from
+the layers, and a second pass in lowest-pair order recovers the landmarks
+that order finds first.
 """
 
 from __future__ import annotations
@@ -145,6 +150,33 @@ def _cover_masks(layers: list[list[int]], budget: Budget | None = None) -> list[
     return masks
 
 
+def _pair_order(layers: list[list[int]], budget: Budget) -> list[int] | None:
+    """The pair indices of ``_cover_masks``, fail-first: by the number of
+    vertices equidistant from a and b, largest first, index order among
+    equal counts; None when that order is the identity.
+
+    v is equidistant from a and b iff it lies in a's and b's layers of one
+    distance d >= 1, or reaches neither. Counts are at most n, so the pairs
+    are counting-sorted. ``budget.spend(0)`` per row a reads the clock
+    without charging nodes.
+    """
+    n = len(layers)
+    width = max(map(len, layers))
+    rows = [masks[1:-1] + [0] * (width - len(masks)) for masks in layers]
+    if layers[0][-1]:  # disconnected: every vertex misses some, listed last
+        for row, masks in zip(rows, layers):
+            row.append(masks[-1])
+    buckets: list[list[int]] = [[] for _ in range(n + 1)]
+    p = 0
+    for a, row_a in enumerate(rows):
+        budget.spend(0)
+        for row_b in rows[a + 1:]:
+            buckets[sum(map(int.bit_count, map(int.__and__, row_a, row_b)))].append(p)
+            p += 1
+    order = [p for bucket in reversed(buckets) for p in bucket]
+    return None if order == list(range(p)) else order
+
+
 def _distance_bound(layers: list[list[int]]) -> int:
     """The least beta with beta + D^beta >= n on a connected graph of
     diameter D, else 0. Outside a resolving set of beta landmarks every
@@ -158,6 +190,10 @@ def _distance_bound(layers: list[list[int]]) -> int:
     while beta + diameter ** beta < n:
         beta += 1
     return beta
+
+
+class _Closed(Exception):
+    """The second pass found a cover of the known minimum size."""
 
 
 class MetricDimensionResult(NamedTuple):
@@ -190,7 +226,17 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
     landmarks and bans, is banned and skipped: each resolving set below it
     maps to one below that sibling, so the first least set in depth-first
     order is kept. Every other node, open or not, is one ``budget.spend()``,
-    in depth-first order; skipped symmetric siblings are not charged."""
+    in depth-first order; skipped symmetric siblings are not charged.
+
+    A graph with generators branches each node on its lowest uncovered
+    pair. One without branches on the first uncovered pair of
+    ``_pair_order``, the pair with the fewest separating landmarks; when
+    that order is not the identity and this pass closes at some beta below
+    the greedy size, a second pass in lowest-pair order, bounded by
+    beta + 1, stops at its first beta-cover: the landmarks a lowest-pair
+    search alone returns. Both passes charge one budget, and the pair
+    order's rows read its clock; a run stopped in either pass returns the
+    pair-count interval with the best cover found so far."""
     if budget is None:
         budget = Budget(max_nodes=DEFAULT_MD_BUDGET)
     n = G.n
@@ -205,20 +251,29 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
     lower0 = max(math.ceil(npairs / (npairs - first_left)), _distance_bound(layers))
 
     best = list(incumbent)
+    limit = len(best)  # a cover is kept iff it is smaller than this
+    beta = 0  # the metric dimension, once a pass has closed on it
 
-    def expand(chosen: list[int], covered: int, pool: list[int], gens) -> None:
-        """Branch an open node on its lowest uncovered pair. ``pool`` holds,
+    def expand(chosen: list[int], covered: int, pool: list[int], gens,
+               at: int) -> None:
+        """Branch an open node on its first uncovered pair: the lowest one,
+        or without ``order`` the first from ``order[at]`` on. ``pool`` holds,
         ascending, the landmarks not banned here that separate some
         uncovered pair; ``gens`` generate the pointwise stabilizer of
         ``chosen`` and of the landmarks banned above. Each child is charged
         and bounded here, from the counts of this node; only the open ones
         recurse, each under the stabilizer of its landmark and its earlier
         siblings."""
-        nonlocal best
+        nonlocal best, limit
         remaining = full ^ covered
         counts = [(masks[u] & remaining).bit_count() for u in pool]
         ranked = sorted(range(len(pool)), key=counts.__getitem__, reverse=True)
-        pair_bit = remaining & -remaining
+        if order is None:
+            pair_bit = remaining & -remaining
+        else:
+            while not remaining >> order[at] & 1:
+                at += 1
+            pair_bit = 1 << order[at]
         depth = len(chosen) + 1
         banned = 0  # the earlier siblings, as a vertex mask
         reps = orbit_reps(gens, n) if gens else None
@@ -236,12 +291,14 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
             budget.spend()
             child = covered | masks[v]
             if child == full:
-                if depth < len(best):
-                    best = chosen + [v]
-            elif (slack := len(best) - depth) > 1:
+                if depth < limit:
+                    best, limit = chosen + [v], depth
+                    if depth == beta:
+                        raise _Closed
+            elif (slack := limit - depth) > 1:
                 # Open iff some landmark covers more than cap of the child's
-                # pairs: depth + ceil(left / max) < len(best). The counts
-                # here bound those of the child from above.
+                # pairs: depth + ceil(left / max) < limit. The counts here
+                # bound those of the child from above.
                 left = remaining & ~masks[v]
                 cap = (left.bit_count() - 1) // (slack - 1)
                 for i in ranked:
@@ -253,18 +310,30 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
                             gens = point_stabilizer(gens, n, unfixed.pop())
                         chosen.append(v)
                         expand(chosen, child, [w for w, c in zip(pool, counts)
-                                               if c and not banned >> w & 1], gens)
+                                               if c and not banned >> w & 1],
+                               gens, at + 1)
                         chosen.pop()
                         break
             banned |= 1 << v
+
+    def search() -> None:
+        budget.spend()  # the root, bounded like any child
+        if limit > 1 and npairs - first_left > (npairs - 1) // (limit - 1):
+            expand([], 0, list(range(n)), G.generators, 0)
 
     exact = True
     try:
         masks = _cover_masks(layers, budget)
         full = (1 << npairs) - 1
-        budget.spend()  # the root, bounded like any child
-        if len(best) > 1 and npairs - first_left > (npairs - 1) // (len(best) - 1):
-            expand([], 0, list(range(n)), G.generators)
+        order = None if G.generators else _pair_order(layers, budget)
+        search()
+        if order is not None and limit < len(incumbent):
+            order, beta = None, limit
+            limit += 1
+            try:
+                search()
+            except _Closed:
+                pass
     except BudgetExceededError:
         exact = False
     landmarks = tuple(sorted(best))

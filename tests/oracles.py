@@ -272,12 +272,37 @@ def pair_greedy_resolving(G) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def pair_metric_dimension(G, budget):
+def pair_order(G, budget) -> list[int]:
+    """The pair indices (pairs in lexicographic order) sorted by the number
+    of vertices equidistant from the pair's two ends, largest first, index
+    order among equal counts: one distance comparison per pair and vertex.
+    ``budget.spend(0)`` once per row a, as the search reads its clock."""
+    rows = distance_rows(G)
+    same = []
+    for a in range(G.n):
+        budget.spend(0)
+        for b in range(a + 1, G.n):
+            same.append(sum(x == y for x, y in zip(rows[a], rows[b])))
+    return sorted(range(len(same)), key=lambda i: -same[i])
+
+
+class _Stop(Exception):
+    pass
+
+
+def pair_metric_dimension(G, budget, lowest_first=False):
     """The branch and bound as it was before children were pruned from
     their parent's counts: every node spends, then takes one AND and
-    popcount per unbanned landmark for its bound. Same incumbent, masks and
-    interval as ``resolving.metric_dimension``, so the two must agree node
-    for node; returns (lower, upper, landmarks, exact, nodes)."""
+    popcount per unbanned landmark for its bound. Same incumbent, masks,
+    pair order and interval as ``resolving.metric_dimension`` on a graph
+    without generators, so the two must agree node for node; returns
+    (lower, upper, landmarks, exact, nodes).
+
+    Each node branches on its first uncovered pair in ``pair_order``. When
+    that order is not the identity and the pass closes below the greedy
+    size, a second pass branches on the lowest uncovered pair, bounded by
+    the closed size plus one, and stops at its first cover of that size.
+    ``lowest_first`` runs the lowest-pair pass alone."""
     from locdim import resolving as R
 
     n = G.n
@@ -289,15 +314,18 @@ def pair_metric_dimension(G, budget):
     lower0 = max(math.ceil(npairs / (npairs - first_left)), R._distance_bound(layers))
 
     best = list(incumbent)
+    limit, target = len(best), 0
 
     def dfs(chosen: list[int], covered: int, banned: frozenset) -> None:
-        nonlocal best
+        nonlocal best, limit
         budget.spend()
         if covered == full:
-            if len(chosen) < len(best):
-                best = list(chosen)
+            if len(chosen) < limit:
+                best, limit = list(chosen), len(chosen)
+                if limit == target:
+                    raise _Stop
             return
-        if len(chosen) + 1 >= len(best):
+        if len(chosen) + 1 >= limit:
             return
         remaining = full & ~covered
         # cheapest admissible completion: every landmark covers <= max_avail
@@ -309,11 +337,11 @@ def pair_metric_dimension(G, budget):
                     max_avail = c
         if max_avail == 0:
             return
-        if len(chosen) + math.ceil(remaining.bit_count() / max_avail) >= len(best):
+        if len(chosen) + math.ceil(remaining.bit_count() / max_avail) >= limit:
             return
-        pair_bit = remaining & -remaining
+        pair = next(p for p in order if remaining >> p & 1)
         candidates = [v for v in range(G.n)
-                      if v not in banned and masks[v] & pair_bit]
+                      if v not in banned and masks[v] >> pair & 1]
         newly_banned = set()
         for v in candidates:
             chosen.append(v)
@@ -325,7 +353,16 @@ def pair_metric_dimension(G, budget):
     try:
         masks = R._cover_masks(layers, budget)
         full = (1 << npairs) - 1
+        lowest = list(range(npairs))
+        order = lowest if lowest_first else pair_order(G, budget)
         dfs([], 0, frozenset())
+        if order != lowest and limit < len(incumbent):
+            order, target = lowest, limit
+            limit += 1
+            try:
+                dfs([], 0, frozenset())
+            except _Stop:
+                pass
     except R.BudgetExceededError:
         exact = False
     lower = len(best) if exact else lower0

@@ -198,6 +198,20 @@ def test_hyper_convert_round_trip(tmp_path, capsys):
     assert sorted(back["landmarks"]) == want
 
 
+def test_hyper_convert_to_hypergraph_reads_only_the_labels(capsys, monkeypatch):
+    def build(k, n):
+        raise AssertionError("the conversion built the Kneser graph")
+    monkeypatch.setattr("locdim.cli.kneser_graph", build)
+    code, art, _ = run_json(capsys, "hyper", "convert",
+                            "--direction", "to-hypergraph", "--k", "3",
+                            "--n", "30", "--set", "0,28-29-30,1-2-4")
+    assert code == 0
+    assert art["edges"] == [[1, 2, 3], [1, 2, 4], [28, 29, 30]]
+    code, _, err = run(capsys, "hyper", "convert", "--direction", "to-hypergraph",
+                       "--k", "3", "--n", "30", "--set", "4060")
+    assert code != 0 and "vertex 4060 outside 0..4059" in err
+
+
 def test_hyper_gadget_found(capsys):
     code, art, _ = run_json(capsys, "hyper", "gadget", "--k", "2")
     assert code == 0

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import locdim as L
 from locdim.game import _split
-from locdim.graphs import UNREACHABLE, bits, orbit_reps, point_stabilizer
+from locdim.graphs import (UNREACHABLE, bits, kneser_labels, orbit_reps,
+                           point_stabilizer)
 
 from oracles import (adjacent, bfs_girth, distance_rows,
                      distance_vector_groups, first_repeated_vector, has_c4,
@@ -163,6 +164,9 @@ def test_kneser_labels():
     assert G.vertex_by_label("3") == 3  # numeric fallback after label miss
     with pytest.raises(ValueError):
         G.vertex_by_label("99")
+    for k, n in ((1, 2), (2, 6), (3, 9), (2, 10), (3, 11)):
+        assert kneser_labels(k, n) == list(L.kneser_graph(k, n).labels)
+    assert kneser_labels(2, 10)[:2] == ["1-2", "1-3"]
 
 
 def test_automorphisms_preserve_adjacency():

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -184,6 +185,21 @@ def test_conversion_round_trips_every_kneser_subset():
         shuffled = rng.sample(subsets, len(subsets))
         everything = L.hypergraph_to_resolving(L.Hypergraph(n, shuffled), k, n)
         assert everything == tuple(range(math.comb(n, k)))
+
+
+def test_conversion_ranks_edges_without_listing_subsets():
+    # C(40, 5) = 658,008 subsets; three edges are ranked, none listed
+    edges = [(1, 2, 3, 4, 5), (2, 9, 17, 30, 33), (36, 37, 38, 39, 40)]
+    tracemalloc.start()
+    try:
+        S = L.hypergraph_to_resolving(L.Hypergraph(40, edges), 5, 40)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    subsets = L.kneser_vertex_subsets(5, 40)
+    assert S == tuple(subsets.index(e) for e in edges)
+    assert S[0] == 0 and S[-1] == math.comb(40, 5) - 1
 
 
 def test_conversion_validation():

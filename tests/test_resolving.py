@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import time
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -14,7 +15,8 @@ from locdim.cli import resolve_graph_spec
 
 from oracles import (distance_rows, exhaustive_metric_dimension, neighbors,
                      pair_cover_masks, pair_greedy_resolving,
-                     pair_metric_dimension, randomized_resolving)
+                     pair_metric_dimension, pair_order,
+                     randomized_resolving)
 
 
 def layers(G):
@@ -137,6 +139,15 @@ def test_kernels_match_pair_loop_oracles_on_random_graphs(data):
     G = L.Graph(n, sorted(edges))
     assert R._cover_masks(layers(G)) == pair_cover_masks(G)
     assert L.greedy_resolving(G) == pair_greedy_resolving(G)
+    if n > 1:
+        assert_pair_order_matches_oracle(G)
+
+
+def assert_pair_order_matches_oracle(G):
+    order = R._pair_order(layers(G), L.Budget())
+    want = pair_order(G, L.Budget())
+    assert (order or list(range(len(want)))) == want
+    return order
 
 
 def test_kernels_match_pair_loop_oracles_on_families():
@@ -145,6 +156,9 @@ def test_kernels_match_pair_loop_oracles_on_families():
               L.cycle_graph(9)):
         assert R._cover_masks(layers(G)) == pair_cover_masks(G)
         assert L.greedy_resolving(G) == pair_greedy_resolving(G)
+        assert_pair_order_matches_oracle(G)
+    # every HS pair has 36 equidistant vertices: the order is the identity
+    assert assert_pair_order_matches_oracle(L.hoffman_singleton()) is None
     G = L.kneser_graph(3, 9)
     assert L.greedy_resolving(G) == pair_greedy_resolving(G)
 
@@ -198,12 +212,17 @@ class RecordingBudget(L.Budget):
 
 
 def assert_search_matches_oracle(G, max_nodes):
+    """Node for node and spend for spend, clock reads included; an uncapped
+    run also keeps the answer of the lowest-pair search alone."""
     budget = RecordingBudget(max_nodes=max_nodes)
     oracle_budget = RecordingBudget(max_nodes=max_nodes)
     res = L.metric_dimension(G, budget)
     got = (res.lower, res.upper, res.landmarks, res.exact, res.nodes)
     assert got == pair_metric_dimension(G, oracle_budget), (G.name, max_nodes)
     assert budget.spends == oracle_budget.spends
+    if max_nodes is None:
+        lowest = pair_metric_dimension(G, L.Budget(), lowest_first=True)
+        assert got[:4] == lowest[:4], G.name
     return res
 
 
@@ -279,6 +298,24 @@ def test_closes_under_30000_nodes_and_never_enumerates_the_group(monkeypatch, sp
     G = resolve_graph_spec(spec)[0]
     res = L.metric_dimension(G, L.Budget(max_nodes=30_000))
     assert res.exact and res.value == 8
+
+
+def test_large_graph_without_generators_stays_small_and_stops_near_its_cap():
+    # 330 vertices, 54,285 pairs: the pair order is a list of indices, not
+    # a mask per pair
+    G = plain(L.kneser_graph(4, 11))
+    tracemalloc.start()
+    try:
+        res = L.metric_dimension(G, L.Budget(max_nodes=1000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (res.lower, res.upper, res.exact) == (9, 29, False)
+    assert peak < 32 * 2**20
+    start = time.monotonic()
+    res = L.metric_dimension(G, L.Budget(max_seconds=0.5))
+    assert time.monotonic() - start < 3
+    assert (res.lower, res.upper, res.exact) == (9, 29, False)
 
 
 def test_time_capped_search_stops_near_its_cap():
