@@ -128,29 +128,29 @@ class _NoOrbits:
     firsts = staticmethod(lambda B, placements: range(len(placements)))
 
 
-def _expand(start: int, options: dict, options_of) -> None:
-    """Map, in ``options``, each belief reachable from start (0, a located
-    robber, aside) to ``options_of(belief)``, added once it completes."""
+def _expand(start: int, seen: set, options_of) -> dict[int, list[list]]:
+    """Expand each belief B reachable from start (0, a located robber, aside),
+    adding B to ``seen`` once done, and return each option of B filed under
+    each successor as ``[successors not yet winning, B, placement index]``."""
+    dependents: dict[int, list[list]] = {}
     frontier = [start]
     while frontier:
         B = frontier.pop()
-        if B in options:
+        if B in seen:
             continue
-        opts = options[B] = options_of(B)
-        frontier.extend(frozenset().union(*opts).difference(options, (0,)))
-
-
-def _propagate(options: dict) -> dict[int, int]:
-    """Each winning belief mapped to its winning placement's index. Wins
-    spread from 0: an option fires once all its successors are winning."""
-    dependents: dict[int, list[list]] = {}
-    for B, opts in options.items():
-        for nexts, i in opts.items():
+        for nexts, i in (opts := options_of(B)).items():
             entry = [len(nexts), B, i]
             for nc in nexts:
                 dependents.setdefault(nc, []).append(entry)
-    winning: dict[int, int] = {}
-    queue = [0]
+        seen.add(B)
+        frontier.extend(frozenset().union(*opts).difference(seen, (0,)))
+    return dependents
+
+
+def _propagate(dependents: dict[int, list[list]]) -> dict[int, int]:
+    """Each winning belief mapped to its winning placement's index. Wins
+    spread from 0: an entry fires once all its successors are winning."""
+    winning, queue = {}, [0]
     while queue:
         for entry in dependents.get(queue.pop(), ()):
             entry[0] -= 1
@@ -176,7 +176,7 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
 
     Winning beliefs are downward closed, so placements of size exactly
     min(k, n) lose no generality. ``_Orbits`` brings in G's listed group,
-    ``_expand`` the beliefs and ``_propagate`` the wins.
+    ``_expand`` the beliefs and their options, ``_propagate`` the wins.
 
     Beliefs and observation classes are vertex masks, spread by ``_spread``
     and split by ``_split``. The returned strategy maps each winning belief
@@ -225,18 +225,17 @@ def loc_decide(G: Graph, k: int, budget: Budget | None = None) -> LocDecision:
             opts.setdefault(nexts, i)
         return opts
 
-    options: dict[int, dict[frozenset, int]] = {}
+    seen: set[int] = set()
     try:
-        _expand(start, options, options_of)
+        dependents = _expand(start, seen, options_of)
     except BudgetExceededError:
-        return LocDecision("unknown", k, beliefs=len(options),
-                           placements=placements,
-                           reason="budget exhausted during belief expansion")
-    winning = _propagate(options)
+        return LocDecision("unknown", k, None, len(seen), placements,
+                           "budget exhausted during belief expansion")
+    winning = _propagate(dependents)
     if start not in winning:
-        return LocDecision("robber-win", k, None, len(options), placements)
+        return LocDecision("robber-win", k, None, len(seen), placements)
     strategy = {B: all_placements[j] for B, j in winning.items()}
-    return LocDecision("cop-win", k, strategy, len(options), placements)
+    return LocDecision("cop-win", k, strategy, len(seen), placements)
 
 
 class LocNumberResult(NamedTuple):
@@ -375,6 +374,7 @@ class MooreStrategy:
 
 
 def moore_strategy(G: Graph) -> MooreStrategy:
+    """Alias of ``MooreStrategy``, kept because perfbench/workloads.py calls it."""
     return MooreStrategy(G)
 
 

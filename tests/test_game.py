@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from functools import lru_cache
 from itertools import combinations
 
@@ -18,6 +19,12 @@ from oracles import (adjacent, image_max_image, image_orbit_firsts,
 
 def mask(vertices) -> int:
     return sum(1 << v for v in vertices)
+
+
+def graph_of(spec: str) -> L.Graph:
+    """The graph of a CLI spec; a "-plain" suffix drops its generators."""
+    G = resolve_graph_spec(spec.removesuffix("-plain"))[0]
+    return L.Graph(G.n, G.edges) if spec.endswith("-plain") else G
 
 
 def split(G: L.Graph, P, b: int) -> dict[tuple[int, ...], int]:
@@ -119,6 +126,20 @@ def test_loc_decide_pinned_counts_without_generators(k, result, beliefs, placeme
     assert (d.result, d.beliefs, d.placements) == (result, beliefs, placements)
 
 
+def test_loc_decide_keeps_no_option_sets_past_their_belief():
+    # each belief's option sets are dropped once its options are filed
+    # under their successors; holding them all peaked at 18.2 MiB
+    tracemalloc.start()
+    try:
+        d = L.loc_decide(graph_of("er:3-plain"), 3,
+                         budget=L.Budget(max_nodes=10**8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (d.result, d.beliefs, d.placements) == ("cop-win", 275, 78650)
+    assert peak < 10 * 2**20
+
+
 # sha256 of the sorted (belief, placement) items of the winning strategy; the
 # Kneser rows as computed at commit 164cd7f, when beliefs were canonicalized
 # by mapping each one through every automorphism, the ER(3) rows at commit
@@ -138,10 +159,7 @@ STRATEGY_DIGESTS = [
 
 @pytest.mark.parametrize("spec,k,digest", STRATEGY_DIGESTS)
 def test_loc_decide_strategy_digest(spec, k, digest):
-    G = resolve_graph_spec(spec.removesuffix("-plain"))[0]
-    if spec.endswith("-plain"):
-        G = L.Graph(G.n, G.edges)
-    d = L.loc_decide(G, k, budget=L.Budget(max_nodes=10**8))
+    d = L.loc_decide(graph_of(spec), k, budget=L.Budget(max_nodes=10**8))
     items = sorted((tuple(bits(B)), P) for B, P in d.strategy.items())
     assert hashlib.sha256(repr(items).encode()).hexdigest() == digest
 
@@ -254,9 +272,10 @@ def test_loc_decide_budget_exhaustion():
                                     ("petersen", 1000, (2, 49)),
                                     ("er:3", 2000, (1, 62)),
                                     # S_8 is not listed, so the root stays open
-                                    ("kneser:2:8", 200000, (0, 2380))]:
-        G = resolve_graph_spec(spec)[0]
-        d = L.loc_decide(G, 3, budget=L.Budget(max_nodes=max_nodes))
+                                    ("kneser:2:8", 200000, (0, 2380)),
+                                    # no symmetry, stopped many beliefs deep
+                                    ("er:3-plain", 300000, (35, 10200))]:
+        d = L.loc_decide(graph_of(spec), 3, budget=L.Budget(max_nodes=max_nodes))
         assert d.result == "unknown"
         assert "budget" in d.reason
         assert (d.beliefs, d.placements) == counts
