@@ -4,11 +4,11 @@ Vertices are always the dense integers 0..n-1. Families with natural vertex
 names (k-subsets for Kneser graphs, pentagon/pentagram coordinates for the
 Hoffman-Singleton graph) carry them in ``labels``; adjacency logic never
 looks at labels, so one engine serves every family. A graph stores its masks
-and symmetry generators, which a family attaches at every size; edges, the
-group (``automorphism_group`` lists it while n * |group| <= 35 * 7!, the one
-size cap) and every distance are derived, each from ``distance_layers``.
-Kneser graphs (and ER(q), in ``fields``) are built and hashed straight from
-the masks, never as an edge list.
+and symmetry generators, which a family attaches at every size, checked on
+first read; edges, the group (``automorphism_group`` lists it while
+n * |group| <= 35 * 7!, the one size cap) and every distance are derived,
+each from ``distance_layers``. Kneser graphs (and ER(q), in ``fields``) are
+built and hashed straight from the masks, never as an edge list.
 """
 
 from __future__ import annotations
@@ -40,12 +40,12 @@ def _least(m: int) -> int:
 class Graph:
     """Simple undirected graph stored as adjacency bitmasks.
 
-    Bit v of ``adj[u]`` is set iff uv is an edge; ``generators`` are checked
-    automorphisms. ``edges`` is derived from the masks, and every distance
-    from ``distance_layers(u)``, a bitset BFS from u; nothing else is kept.
+    Bit v of ``adj[u]`` is set iff uv is an edge; ``generators`` are
+    automorphisms, checked on first read. ``edges`` is derived from the
+    masks, and every distance from ``distance_layers(u)``; nothing else is kept.
     """
 
-    __slots__ = ("n", "labels", "name", "generators", "adj")
+    __slots__ = ("n", "labels", "name", "_generators", "_unchecked", "adj")
 
     def __init__(self, n: int, edges, labels=None, name: str | None = None,
                  generators=None) -> None:
@@ -60,10 +60,12 @@ class Graph:
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self._init_masks(adj, labels, name, generators)
+        self.generators  # outside input is checked here, not on first read
 
     def _init_masks(self, adj, labels, name, generators) -> None:
         """Adopt the adjacency masks ``adj`` (taken as symmetric and
-        loop-free), then check the labels and the generators."""
+        loop-free) and check the labels; the generators are checked when
+        ``generators`` is first read."""
         n = self.n = len(adj)
         self.adj = tuple(adj)
         if labels is not None:
@@ -72,15 +74,23 @@ class Graph:
                 raise ValueError("labels must cover every vertex")
         self.labels = labels
         self.name = name
-        self.generators = tuple(tuple(sig) for sig in generators or ())
-        # row sig[u], read at sig[0], sig[1], ..., must be row u (linear in n)
-        rows = [format(m, f"0{n}b")[::-1] for m in adj] if self.generators else ()
-        for sig in self.generators:
+        self._generators = tuple(tuple(sig) for sig in generators or ())
+        self._unchecked = self._generators
+
+    @property
+    def generators(self) -> tuple[tuple[int, ...], ...]:
+        """The symmetry generators, each checked on first read: row sig[u],
+        read at sig[0], sig[1], ..., must be row u (linear in n)."""
+        n, todo = self.n, self._unchecked
+        rows = [format(m, f"0{n}b")[::-1] for m in self.adj] if todo else ()
+        for sig in todo:
             if sorted(sig) != list(range(n)):
                 raise ValueError(f"generator {sig} is not a permutation of 0..{n - 1}")
             if any("".join(itemgetter(*sig)(rows[w])) != rows[u]
                    for u, w in enumerate(sig)):
                 raise ValueError(f"generator {sig} is not an automorphism")
+        self._unchecked = ()
+        return self._generators
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:

@@ -3,7 +3,8 @@
 Hypergraph vertices are the integers 1..n (matching the subset labels of
 Kneser vertices, which is what the conversion operations trade in). Edges
 keep their construction order so detection vectors stay aligned with them;
-duplicate edges are representable.
+duplicate edges are representable. The kernels read vertex masks, bit v for
+vertex v: edges, probe sets and the rows of the gadget's section graph.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from .budget import Budget, BudgetExceededError
-from .graphs import Graph, graph_girth, kneser_vertex_subsets
+from .graphs import Graph, bits, graph_girth, kneser_vertex_subsets
 
 DEFAULT_DETECT_BUDGET = 10**8  # vector-entry comparisons
 
@@ -93,26 +94,27 @@ class Hypergraph:
 # -- detection ----------------------------------------------------------------
 
 
+def _detector(H: Hypergraph):
+    """The detection vector of a probe mask (bit v for vertex v), as a
+    function: per edge of H, 0 when the probe misses it, 2 when the probe
+    meets as many of its vertices as the largest edge has, else 1."""
+    masks = [sum(1 << v for v in e) for e in H.edges]
+    levels = (0, *[1] * (H.max_edge_cardinality() - 1), 2)
+    return lambda probe: tuple([levels[(e & probe).bit_count()] for e in masks])
+
+
 def detection_vector(H: Hypergraph, B) -> tuple[Detection, ...]:
     """Per-edge ZERO/ONE/FULL record of how the probe set B meets each edge.
 
     FULL means the intersection has the full uniform cardinality (the largest
     edge size), so it can only appear when |B| reaches that size.
     """
-    bset = frozenset(B)
-    if not all(1 <= v <= H.n for v in bset):
-        raise ValueError(f"probe set {sorted(bset)} outside 1..{H.n}")
-    k_max = H.max_edge_cardinality()
-    out = []
-    for e in H.edges:
-        hits = len(bset.intersection(e))
-        if hits == 0:
-            out.append(Detection.ZERO)
-        elif hits == k_max:
-            out.append(Detection.FULL)
-        else:
-            out.append(Detection.ONE)
-    return tuple(out)
+    probe = 0
+    for v in B:
+        if type(v) is not int or not 1 <= v <= H.n:
+            raise ValueError(f"probe vertex {v!r} outside 1..{H.n}")
+        probe |= 1 << v
+    return tuple(map(Detection, _detector(H)(probe)))
 
 
 class DetectResult(NamedTuple):
@@ -136,12 +138,13 @@ def is_detectable(H: Hypergraph, kprime: int, budget: Budget | None = None) -> D
     if budget is None:
         budget = Budget(max_nodes=DEFAULT_DETECT_BUDGET)
     cost = max(1, len(H.edges))
-    seen: dict[tuple, tuple[int, ...]] = {}
+    detect = _detector(H)
+    seen: dict[tuple[int, ...], tuple[int, ...]] = {}
     checked = 0
     for B in combinations(range(1, H.n + 1), kprime):
         budget.spend(cost)
         checked += 1
-        vec = detection_vector(H, B)
+        vec = detect(sum(1 << v for v in B))
         prior = seen.get(vec)
         if prior is not None:
             return DetectResult(False, (prior, B), checked)
@@ -272,55 +275,36 @@ def _gadget_backtrack(k: int, r: int, m: int, budget: Budget):
     """Depth-first construction over [m]; every edge is added at the least
     vertex still short of degree r. Girth is maintained incrementally: a new
     edge's internal pairs must be at Berge distance >= 4 in the section graph
-    built so far, where a pair some edge already covers is adjacent."""
+    built so far, whose row ``sec[v]`` masks the vertices sharing an edge
+    with v."""
     target_edges = m * r // k
     deg = [0] * (m + 1)
-    section: dict[int, set[int]] = {v: set() for v in range(1, m + 1)}
+    sec = [0] * (m + 1)
     edges: list[tuple[int, ...]] = []
 
-    def within_three(a: int, b: int) -> bool:
-        # BFS in the section graph, depth-capped at 3.
-        if a == b:
-            return True
-        seen = {a}
-        frontier = [a]
-        for _ in range(3):
-            nxt = []
-            for x in frontier:
-                for y in section[x]:
-                    if y == b:
-                        return True
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return False
+    def candidate_ok(edge: tuple[int, ...], mask: int) -> bool:
+        for a in edge:  # the radius-3 ball around a meets no other vertex
+            ball = frontier = 1 << a
+            for _ in range(3):
+                for x in bits(frontier):
+                    frontier |= sec[x]
+                frontier &= ~ball
+                ball |= frontier
+            if ball & mask != 1 << a:
+                return False
+        return True
 
-    def candidate_ok(edge: tuple[int, ...]) -> bool:
-        return not any(within_three(a, b) for a, b in combinations(edge, 2))
-
-    def apply(edge: tuple[int, ...]):
-        edges.append(edge)
-        for a, b in combinations(edge, 2):
-            section[a].add(b)
-            section[b].add(a)
+    def toggle(edge: tuple[int, ...], mask: int, step: int) -> None:
+        # an accepted edge joins no pair already joined, so XOR adds or removes it
         for v in edge:
-            deg[v] += 1
-
-    def unapply(edge: tuple[int, ...]):
-        edges.pop()
-        for a, b in combinations(edge, 2):
-            section[a].discard(b)
-            section[b].discard(a)
-        for v in edge:
-            deg[v] -= 1
+            sec[v] ^= mask ^ 1 << v
+            deg[v] += step
 
     def extend() -> bool:
         if len(edges) == target_edges:
             return all(deg[v] == r for v in range(1, m + 1))
-        u = next((v for v in range(1, m + 1) if deg[v] < r), None)
-        if u is None:
-            return False
+        # while edges are short, sum(deg) = k * len(edges) < m * r
+        u = next(v for v in range(1, m + 1) if deg[v] < r)
         eligible = [v for v in range(u + 1, m + 1) if deg[v] < r]
         unused = [v for v in eligible if deg[v] == 0]
         for combo in combinations(eligible, k - 1):
@@ -330,12 +314,15 @@ def _gadget_backtrack(k: int, r: int, m: int, budget: Budget):
             if picked_unused != unused[: len(picked_unused)]:
                 continue
             edge = (u,) + combo
-            if not candidate_ok(edge):
+            mask = sum(1 << v for v in edge)
+            if not candidate_ok(edge, mask):
                 continue
-            apply(edge)
+            edges.append(edge)
+            toggle(edge, mask, 1)
             if extend():
                 return True
-            unapply(edge)
+            edges.pop()
+            toggle(edge, mask, -1)
         return False
 
     return list(edges) if extend() else None

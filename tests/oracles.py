@@ -11,7 +11,9 @@ kept as references that the faster ones must match exactly.
 edge list serialized at once. Distances come from networkx BFS
 (``distance_rows``), never from the package, and neighborhoods from the
 edge list (``neighbors``). ``moore_degree`` recognizes Moore graphs with
-an explicit diameter test. ``adjacent``, ``dot3``, ``has_c4`` and
+an explicit diameter test. ``detection`` and ``detectable`` intersect
+frozensets and compare vectors pairwise, where the package intersects
+vertex masks and keys a dict. ``adjacent``, ``dot3``, ``has_c4`` and
 ``check_degree_properties`` are checks that only the tests call.
 """
 
@@ -148,6 +150,28 @@ def oracle_berge_girth(H) -> float:
             adj[("v", u)].add(("e", i))
     g = bfs_girth(adj)
     return g if g == float("inf") else g // 2
+
+
+def detection(H, B) -> tuple[int, ...]:
+    """Per edge of H, by frozenset intersection: 0 when B misses it, 2 when
+    B holds as many of its vertices as the largest edge has, else 1."""
+    probe = frozenset(B)
+    k_max = max((len(e) for e in H.edges), default=0)
+    sizes = [len(probe & frozenset(e)) for e in H.edges]
+    return tuple(0 if c == 0 else 2 if c == k_max else 1 for c in sizes)
+
+
+def detectable(H, kprime: int):
+    """(detectable, the first colliding pair of k'-subsets, sets checked) by
+    a pairwise scan: the pair's second member is the least subset whose
+    detection vector an earlier one shares."""
+    subsets = list(combinations(range(1, H.n + 1), kprime))
+    vectors = [detection(H, B) for B in subsets]
+    for j in range(len(subsets)):
+        for i in range(j):
+            if vectors[i] == vectors[j]:
+                return False, (subsets[i], subsets[j]), j + 1
+    return True, None, len(subsets)
 
 
 def sweep_loc_decide(G, k: int) -> str:

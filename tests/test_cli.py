@@ -82,6 +82,15 @@ def test_graph_export_dot(capsys):
     assert "--" in out
 
 
+def test_graph_export_json_is_the_build_artifact(tmp_path, capsys):
+    built, exported = tmp_path / "built.json", tmp_path / "exported.json"
+    assert main(["graph", "build", "--graph", "petersen", "--out", str(built)]) == 0
+    assert main(["graph", "export", "--graph", "petersen", "--format", "json",
+                 "--out", str(exported)]) == 0
+    capsys.readouterr()
+    assert exported.read_bytes() == built.read_bytes()
+
+
 def test_graph_export_dot_escapes_labels(tmp_path, capsys):
     path = tmp_path / "quoted.json"
     path.write_text(json.dumps({"n": 2, "edges": [[0, 1]],

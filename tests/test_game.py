@@ -416,6 +416,22 @@ def test_moore_strategy_rejects_singleton_query():
         strat.decide(mask({3}))
 
 
+def test_moore_strategy_raises_on_beliefs_outside_its_forms():
+    HS = L.hoffman_singleton()
+    strat = L.moore_strategy(HS)
+    # a whole neighbourhood: one common neighbour, but k classes to split
+    with pytest.raises(L.UnhandledBeliefError) as err:
+        strat.decide(HS.adj[0])
+    assert err.value.belief == HS.adj[0]
+    # an independent triple with no common neighbour
+    C = mask({0, 2, 5})
+    assert not any(C & HS.adj[v] == C for v in range(HS.n))
+    assert all(not HS.adj[u] >> v & 1 for u, v in combinations((0, 2, 5), 2))
+    with pytest.raises(L.UnhandledBeliefError) as err:
+        strat.decide(C)
+    assert err.value.belief == C
+
+
 def test_unhandled_belief_error_carries_the_belief():
     err = L.UnhandledBeliefError(mask({3, 1, 2}))
     assert err.belief == mask({1, 2, 3})

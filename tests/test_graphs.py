@@ -221,6 +221,31 @@ def test_generators_must_be_automorphisms():
     assert L.Graph(1, [], generators=[(0,)]).generators == ((0,),)
 
 
+def test_family_generators_are_checked_before_a_solver_reads_them():
+    K = L.kneser_graph(2, 7)
+    bad = list(K._generators[1])
+    bad[0], bad[1] = bad[1], bad[0]  # two images swapped
+    G = L.Graph.__new__(L.Graph)
+    G._init_masks(list(K.adj), None, "K(2,7)", [K._generators[0], bad])
+    with pytest.raises(ValueError, match="not an automorphism"):
+        L.metric_dimension(G)
+    with pytest.raises(ValueError, match="not an automorphism"):
+        L.automorphism_group(G)
+    # without a budget K(2,7) is beyond the game's default scope, and the
+    # answer "unknown" comes before any symmetry is read
+    with pytest.raises(ValueError, match="not an automorphism"):
+        L.loc_decide(G, 1, budget=L.Budget(max_nodes=10))
+
+
+def test_family_generators_are_not_checked_unless_read():
+    K = L.kneser_graph(2, 9)
+    L.graph_hash(K)
+    L.graph_to_json_dict(K)
+    assert L.is_resolving(K, range(K.n)).verified
+    assert K._unchecked
+    assert len(K.generators) == 2 and not K._unchecked
+
+
 def test_group_is_sn_action_for_kneser_and_dihedral_for_cycles():
     for n in range(2, 8):
         for k in range(1, n):

@@ -8,7 +8,8 @@ import pytest
 import locdim as L
 from locdim.hypergraphs import Detection
 
-from oracles import check_degree_properties, oracle_berge_girth
+from oracles import (check_degree_properties, detectable, detection,
+                     oracle_berge_girth)
 
 
 def six_cycle():
@@ -109,6 +110,26 @@ def test_detection_budget_raises():
     H = L.Hypergraph(9, [tuple(e) for e in combinations(range(1, 10), 3)][:20])
     with pytest.raises(L.BudgetExceededError):
         L.is_detectable(H, 3, budget=L.Budget(max_nodes=10))
+
+
+def test_detection_kernels_match_the_oracle():
+    rng = random.Random(28)
+    cases = [L.Hypergraph(0, []), L.Hypergraph(4, []),
+             L.Hypergraph(5, [(1, 2), (3, 4, 5), (1, 2)])]
+    for _ in range(150):
+        n = rng.randint(1, 9)
+        edges = [rng.sample(range(1, n + 1), rng.randint(1, min(4, n)))
+                 for _ in range(rng.randint(0, 10))]
+        if edges and rng.random() < 0.3:
+            edges.append(rng.choice(edges))  # a duplicate edge
+        cases.append(L.Hypergraph(n, edges))
+    for H in cases:
+        for kprime in range(5):
+            got = tuple(L.is_detectable(H, kprime))
+            assert got == detectable(H, kprime), (H.edges, kprime)
+        for size in range(H.n + 1):
+            B = rng.sample(range(1, H.n + 1), size)
+            assert L.detection_vector(H, B) == detection(H, B), (H.edges, B)
 
 
 def test_berge_girth_known_values():
@@ -252,6 +273,38 @@ def test_gadget_search_k3_absence_is_complete():
     assert res.complete
     assert budget.nodes == 949
     assert not res
+
+
+CYCLE5 = ((1, 2), (1, 3), (2, 4), (3, 5), (4, 5))
+PETERSEN = ((1, 2), (1, 3), (1, 4), (2, 5), (2, 6), (3, 7), (3, 8), (4, 9),
+            (4, 10), (5, 7), (5, 9), (6, 8), (6, 10), (7, 10), (8, 9))
+# (k, regularity) -> (gadget edges, budget.nodes) at max_vertices 8..13;
+# every search in the grid is complete
+GADGET_GRID = {
+    (2, None): ((CYCLE5,) * 6, (22, 22, 22, 22, 22, 22)),
+    (2, 2): ((CYCLE5,) * 6, (22, 22, 22, 22, 22, 22)),
+    (2, 3): ((None, None) + (PETERSEN,) * 4, (84, 84, 133, 133, 133, 133)),
+    (2, 4): ((None,) * 6, (137, 202, 283, 381, 498, 636)),
+    (3, None): ((None,) * 6, (133, 259, 423, 658, 949, 1347)),
+    (3, 2): ((None,) * 6, (26, 128, 128, 128, 368, 368)),
+    (3, 3): ((None,) * 6, (133, 259, 423, 658, 949, 1347)),
+    (3, 4): ((None,) * 6, (0, 133, 133, 133, 443, 443)),
+    (4, None): ((None,) * 6, (0, 0, 0, 0, 615, 615)),
+    (4, 2): ((None,) * 6, (90, 90, 349, 349, 883, 883)),
+    (4, 3): ((None,) * 6, (0, 0, 0, 0, 615, 615)),
+    (4, 4): ((None,) * 6, (0, 0, 0, 0, 0, 1045)),
+}
+
+
+def test_gadget_search_grid_is_pinned():
+    for (k, reg), (gadgets, nodes) in GADGET_GRID.items():
+        for mv, edges, count in zip(range(8, 14), gadgets, nodes):
+            budget = L.Budget(max_nodes=10**7)
+            res = L.search_girth5_gadget(k, max_vertices=mv, regularity=reg,
+                                         budget=budget)
+            got = res.gadget.edges if res.gadget else None
+            assert (got, res.complete, budget.nodes) == (edges, True, count), \
+                (k, reg, mv)
 
 
 def test_gadget_search_budget_exhaustion():
