@@ -264,9 +264,11 @@ def search_girth5_gadget(
             return GadgetSearchResult(None, complete=False)
         if found is not None:
             H = Hypergraph(m, found)
-            # Independent verification of what the incremental pruning promised.
-            assert H.uniformity() == k and H.regularity() == r
-            assert berge_girth(H) >= 5
+            # Independent verification of what the incremental pruning
+            # promised; raised, not asserted, so python -O keeps it.
+            if H.uniformity() != k or H.regularity() != r or berge_girth(H) < 5:
+                raise RuntimeError(f"gadget search built a hypergraph that is not "
+                                   f"{k}-uniform, {r}-regular and of girth 5")
             return GadgetSearchResult(H, complete=True)
     return GadgetSearchResult(None, complete=True)
 

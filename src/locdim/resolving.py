@@ -15,7 +15,10 @@ A graph without generators is searched fail-first (Haralick and Elliott,
 Artificial Intelligence 14, 1980): each node branches on the uncovered pair
 with the fewest separating landmarks, read off a pair order built once from
 the layers, and a second pass in lowest-pair order recovers the landmarks
-that order finds first.
+that order finds first. A pass stops at its first cover of a proven lower
+bound's size, and no search runs when the greedy set already has it; on a
+graph of diameter at most 2 that bound includes a count of the landmarks'
+neighborhoods (Héger and Takáts, Electron. J. Combin. 19, 2012).
 """
 
 from __future__ import annotations
@@ -192,8 +195,28 @@ def _distance_bound(layers: list[list[int]]) -> int:
     return beta
 
 
+def _trace_bound(layers: list[list[int]]) -> int:
+    """The least t with 2(n-1) - 3t <= the sum of the t largest degrees on a
+    connected graph of diameter at most 2, else 0. Outside a resolving set S
+    of t landmarks each vertex is told apart by its trace, its neighbors in
+    S: at most one trace is empty and at most t are singletons, so the traces
+    sum to at least 2(n-1) - 3t, and to at most the degrees of S. Héger and
+    Takáts count traces so in projective planes ("Resolving sets and
+    semi-resolving sets in finite projective planes", Electron. J. Combin.
+    19, 2012)."""
+    n = len(layers)
+    if n == 0 or layers[0][-1] or max(map(len, layers)) > 4:
+        return 0
+    degrees = sorted((masks[1].bit_count() for masks in layers), reverse=True)
+    t = total = 0
+    while 2 * (n - 1) - 3 * t > total:
+        total += degrees[t]
+        t += 1
+    return t
+
+
 class _Closed(Exception):
-    """The second pass found a cover of the known minimum size."""
+    """A pass found a cover of the size it stops at: the metric dimension."""
 
 
 class MetricDimensionResult(NamedTuple):
@@ -212,8 +235,12 @@ class MetricDimensionResult(NamedTuple):
 def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionResult:
     """Branch-and-bound set cover over separating landmarks, with the greedy
     set as incumbent. Exact when the search closes; otherwise certified
-    [lower, upper] bounds, lower being the larger of the pair-count bound
-    and ``_distance_bound``. Deterministic: least-index tie-breaks only.
+    [lower, upper] bounds, lower being the largest of the pair-count bound,
+    ``_distance_bound`` and ``_trace_bound``. When the greedy set already
+    has that many landmarks it is returned as exact with no search (0
+    nodes); otherwise each pass stops at its first cover of that size,
+    which the full search would keep, since none is smaller.
+    Deterministic: least-index tie-breaks only.
 
     Each open node counts, once, the uncovered pairs every unbanned
     landmark separates, and bounds each child from those counts. A child
@@ -233,10 +260,11 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
     ``_pair_order``, the pair with the fewest separating landmarks; when
     that order is not the identity and this pass closes at some beta below
     the greedy size, a second pass in lowest-pair order, bounded by
-    beta + 1, stops at its first beta-cover: the landmarks a lowest-pair
-    search alone returns. Both passes charge one budget, and the pair
-    order's rows read its clock; a run stopped in either pass returns the
-    pair-count interval with the best cover found so far."""
+    beta + 1, also stops at its first beta-cover: the landmarks a
+    lowest-pair search alone returns. Both passes charge one budget, and
+    the pair order's rows read its clock; a run stopped in either pass
+    returns the interval from the lower bound to the best cover found so
+    far."""
     if budget is None:
         budget = Budget(max_nodes=DEFAULT_MD_BUDGET)
     n = G.n
@@ -244,15 +272,17 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
         cert = ResolvingCertificate(graph_hash(G), (), True)
         return MetricDimensionResult(0, 0, (), True, cert, 0)
     layers = [G.distance_layers(v) for v in range(n)]
+    gens = G.generators  # checked here, even when no search runs
     # The greedy is not charged, so a capped run always holds a resolving
     # set; its first step gives the best single landmark's pair count.
     incumbent, first_left = _greedy(layers)
     npairs = n * (n - 1) // 2
-    lower0 = max(math.ceil(npairs / (npairs - first_left)), _distance_bound(layers))
+    lower0 = max(math.ceil(npairs / (npairs - first_left)),
+                 _distance_bound(layers), _trace_bound(layers))
 
     best = list(incumbent)
     limit = len(best)  # a cover is kept iff it is smaller than this
-    beta = 0  # the metric dimension, once a pass has closed on it
+    beta = lower0  # a pass stops at its first cover of this size
 
     def expand(chosen: list[int], covered: int, pool: list[int], gens,
                at: int) -> None:
@@ -319,26 +349,29 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
     def search() -> None:
         budget.spend()  # the root, bounded like any child
         if limit > 1 and npairs - first_left > (npairs - 1) // (limit - 1):
-            expand([], 0, list(range(n)), G.generators, 0)
-
-    exact = True
-    try:
-        masks = _cover_masks(layers, budget)
-        full = (1 << npairs) - 1
-        order = None if G.generators else _pair_order(layers, budget)
-        search()
-        if order is not None and limit < len(incumbent):
-            order, beta = None, limit
-            limit += 1
             try:
-                search()
+                expand([], 0, list(range(n)), gens, 0)
             except _Closed:
                 pass
-    except BudgetExceededError:
-        exact = False
+
+    exact = True
+    if limit > lower0:
+        try:
+            masks = _cover_masks(layers, budget)
+            full = (1 << npairs) - 1
+            order = None if gens else _pair_order(layers, budget)
+            search()
+            if order is not None and limit < len(incumbent):
+                order, beta = None, limit
+                limit += 1
+                search()
+        except BudgetExceededError:
+            exact = False
     landmarks = tuple(sorted(best))
     cert = is_resolving(G, landmarks)
-    assert cert.verified
+    if not cert.verified:  # raised, not asserted: python -O keeps the check
+        raise RuntimeError(f"landmarks {landmarks} do not resolve the graph: "
+                           f"pair {cert.witness_pair} is not separated")
     lower = len(best) if exact else lower0
     return MetricDimensionResult(lower, len(best), landmarks, exact, cert, budget.nodes)
 

@@ -310,6 +310,20 @@ def pair_order(G, budget) -> list[int]:
     return sorted(range(len(same)), key=lambda i: -same[i])
 
 
+def trace_bound(G) -> int:
+    """The least t with 2(n-1) - 3t <= the sum of the t largest degrees
+    when every distance (by networkx BFS) is at most 2, else 0; degrees
+    from the edge list. A resolving set of t landmarks gives the n - t
+    other vertices distinct sets of landmark neighbors: one may be empty,
+    t may be single landmarks, and those sets sum to at most the degrees
+    of the landmarks."""
+    if any(not 0 <= d <= 2 for row in distance_rows(G) for d in row):
+        return 0
+    degrees = sorted((len(neighbors(G, v)) for v in range(G.n)), reverse=True)
+    return next(t for t in range(G.n + 1)
+                if 2 * (G.n - 1) - 3 * t <= sum(degrees[:t]))
+
+
 class _Stop(Exception):
     pass
 
@@ -322,11 +336,14 @@ def pair_metric_dimension(G, budget, lowest_first=False):
     without generators, so the two must agree node for node; returns
     (lower, upper, landmarks, exact, nodes).
 
-    Each node branches on its first uncovered pair in ``pair_order``. When
-    that order is not the identity and the pass closes below the greedy
-    size, a second pass branches on the lowest uncovered pair, bounded by
-    the closed size plus one, and stops at its first cover of that size.
-    ``lowest_first`` runs the lowest-pair pass alone."""
+    Nothing is searched when the greedy set meets the lower bound, which
+    includes ``trace_bound``; otherwise the first pass stops at its first
+    cover of that size. Each node branches on its first uncovered pair in
+    ``pair_order``. When that order is not the identity and the pass
+    closes below the greedy size, a second pass branches on the lowest
+    uncovered pair, bounded by the closed size plus one, and stops at its
+    first cover of that size. ``lowest_first`` runs the lowest-pair pass
+    alone, to the end, without the skip or the stop."""
     from locdim import resolving as R
 
     n = G.n
@@ -335,10 +352,13 @@ def pair_metric_dimension(G, budget, lowest_first=False):
     layers = [G.distance_layers(v) for v in range(n)]
     incumbent, first_left = R._greedy(layers)
     npairs = n * (n - 1) // 2
-    lower0 = max(math.ceil(npairs / (npairs - first_left)), R._distance_bound(layers))
+    lower0 = max(math.ceil(npairs / (npairs - first_left)),
+                 R._distance_bound(layers), trace_bound(G))
+    if not lowest_first and len(incumbent) == lower0:
+        return lower0, lower0, incumbent, True, budget.nodes
 
     best = list(incumbent)
-    limit, target = len(best), 0
+    limit, target = len(best), 0 if lowest_first else lower0
 
     def dfs(chosen: list[int], covered: int, banned: frozenset) -> None:
         nonlocal best, limit
@@ -379,7 +399,10 @@ def pair_metric_dimension(G, budget, lowest_first=False):
         full = (1 << npairs) - 1
         lowest = list(range(npairs))
         order = lowest if lowest_first else pair_order(G, budget)
-        dfs([], 0, frozenset())
+        try:
+            dfs([], 0, frozenset())
+        except _Stop:
+            pass
         if order != lowest and limit < len(incumbent):
             order, target = lowest, limit
             limit += 1

@@ -416,7 +416,7 @@ GOLDEN = Path(__file__).parent / "golden"
     ("md_exact_kneser_2_7.json", ["md", "exact", "--graph", "kneser:2:7"]),
     ("md_exact_kneser_3_7.json", ["md", "exact", "--graph", "kneser:3:7"]),
     ("md_greedy_kneser_3_10.json", ["md", "greedy", "--graph", "kneser:3:10"]),
-    # capped: its lower bound of 6 is the distance-vector bound
+    # capped: its lower bound of 10 is the trace bound
     ("md_exact_hs_budget_nodes_20000.json",
      ["md", "exact", "--graph", "hs", "--budget-nodes", "20000"]),
     ("md_exact_er_5.json", ["md", "exact", "--graph", "er:5"]),
@@ -488,7 +488,8 @@ SEARCHING = [
     ["hyper", "detect", "--n", "6", "--edges", SIX_CYCLE_EDGES, "--kprime", "3"],
     ["hyper", "gadget", "--k", "2"],
     ["hyper", "cover", "--k", "2", "--n", "10"],
-    ["md", "exact", "--graph", "petersen"],
+    # Petersen's greedy set meets its lower bound, so it is not searched
+    ["md", "exact", "--graph", "kneser:2:8"],
     ["loc", "decide", "--graph", "petersen", "--cops", "3"],
     ["loc", "number", "--graph", "petersen"],
 ]

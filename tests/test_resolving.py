@@ -1,9 +1,13 @@
 import json
+import os
 import random
+import subprocess
 import sys
+import textwrap
 import time
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +20,7 @@ from locdim.cli import resolve_graph_spec
 from oracles import (distance_rows, exhaustive_metric_dimension, neighbors,
                      pair_cover_masks, pair_greedy_resolving,
                      pair_metric_dimension, pair_order,
-                     randomized_resolving)
+                     randomized_resolving, trace_bound)
 
 
 def layers(G):
@@ -188,13 +192,73 @@ def test_distance_bound_values():
     assert bound(L.Graph(0, [])) == bound(L.Graph(1, [])) == 0
 
 
+def test_trace_bound_values():
+    def bound(G):
+        return R._trace_bound(layers(G))
+    er = {q: L.er_polarity_graph(q).graph for q in (3, 4, 5, 7, 8)}
+    families = [L.petersen(), er[3], er[4], er[5], er[7], er[8],
+                L.hoffman_singleton(), L.kneser_graph(3, 9)]
+    assert [bound(G) for G in families] == [3, 4, 5, 7, 11, 12, 10, 8]
+    assert [trace_bound(G) for G in families] == [3, 4, 5, 7, 11, 12, 10, 8]
+    # the count holds only on connected graphs of diameter at most 2
+    for G in [*map(L.cycle_graph, range(6, 10)), L.kneser_graph(3, 7),
+              L.Graph(4, [(0, 1), (2, 3)]), L.Graph(3, [(0, 1)]), L.Graph(0, [])]:
+        assert bound(G) == trace_bound(G) == 0, G.name
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_trace_bound_is_below_the_metric_dimension_at_diameter_2(data):
+    n = data.draw(st.integers(min_value=2, max_value=11))
+    pairs = list(combinations(range(n), 2))
+    edges = data.draw(st.sets(st.sampled_from(pairs)))
+    closed = [{v} for v in range(n)]
+    for a, b in edges:
+        closed[a].add(b)
+        closed[b].add(a)
+    # join every pair at distance above 2: the diameter drops to at most 2
+    G = L.Graph(n, sorted(edges | {(a, b) for a, b in pairs
+                                   if not closed[a] & closed[b]}))
+    assert G.diameter() <= 2
+    beta = len(exhaustive_metric_dimension(G))
+    assert R._trace_bound(layers(G)) == trace_bound(G) <= beta
+
+
+def test_python_O_keeps_the_certificate_checks():
+    # python -O strips asserts; an unverified certificate and a gadget of
+    # the wrong girth must raise all the same, with or without a search
+    script = textwrap.dedent("""
+        import sys
+        import locdim as L
+        from locdim import hypergraphs, resolving
+        if not sys.flags.optimize:
+            sys.exit("asserts are on")
+        check = resolving.is_resolving
+        resolving.is_resolving = lambda G, S: check(G, S)._replace(verified=False)
+        hypergraphs.berge_girth = lambda H: 4
+        for call in (lambda: L.metric_dimension(L.petersen()),
+                     lambda: L.metric_dimension(L.kneser_graph(2, 8)),
+                     lambda: L.search_girth5_gadget(2)):
+            try:
+                call()
+            except RuntimeError:
+                print("raised")
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * 3
+
+
 def test_run_stopped_while_masks_are_built_keeps_an_interval():
     G = L.hoffman_singleton()
     budget = L.Budget(max_seconds=0)
     time.sleep(0.01)
     res = L.metric_dimension(G, budget=budget)
     assert not res.exact and res.nodes == 0
-    assert (res.lower, res.upper) == (6, 12)
+    assert (res.lower, res.upper) == (10, 12)  # the trace bound
     assert res.landmarks == L.greedy_resolving(G)
     assert L.is_resolving(G, res.landmarks).verified
 
@@ -310,12 +374,12 @@ def test_large_graph_without_generators_stays_small_and_stops_near_its_cap():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert (res.lower, res.upper, res.exact) == (9, 29, False)
+    assert (res.lower, res.upper, res.exact) == (18, 29, False)
     assert peak < 32 * 2**20
     start = time.monotonic()
     res = L.metric_dimension(G, L.Budget(max_seconds=0.5))
     assert time.monotonic() - start < 3
-    assert (res.lower, res.upper, res.exact) == (9, 29, False)
+    assert (res.lower, res.upper, res.exact) == (18, 29, False)
 
 
 def test_time_capped_search_stops_near_its_cap():
