@@ -230,13 +230,14 @@ def bounds_report(family: str, *, k: int | None = None, n: int | None = None,
         raise ValueError(f"unknown family {family!r}")
 
     report = BoundsReport(family, params, entries, dict(computed or {}))
+    # every value is checked, even one that no entry below reads
+    intervals = {key: _as_interval(v) for key, v in report.computed.items()
+                 if v is not None}
     for entry in entries:
-        if not entry.satisfied or entry.bound is None:
+        if (not entry.satisfied or entry.bound is None
+                or entry.quantity not in intervals):
             continue
-        got = report.computed.get(entry.quantity)
-        if got is None:
-            continue
-        lo, hi = _as_interval(got)
+        lo, hi = intervals[entry.quantity]
         if entry.kind == "lower" and entry.bound > hi:
             raise BoundContradictionError(
                 f"{entry.source}: lower bound {entry.bound} exceeds computed "

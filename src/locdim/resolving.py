@@ -11,14 +11,11 @@ every child from above, and children are pruned against them before they
 are entered. A graph's generators prune symmetric siblings by orbital
 branching (Ostrowski, Linderoth, Rossi and Smriglio, Math. Programming 126,
 2011); each node's group is carried as stabilizer generators, never listed.
-A graph without generators is searched fail-first (Haralick and Elliott,
-Artificial Intelligence 14, 1980): each node branches on the uncovered pair
-with the fewest separating landmarks, read off a pair order built once from
-the layers, and a second pass in lowest-pair order recovers the landmarks
-that order finds first. A pass stops at its first cover of a proven lower
-bound's size, and no search runs when the greedy set already has it; on a
-graph of diameter at most 2 that bound includes a count of the landmarks'
-neighborhoods (Héger and Takáts, Electron. J. Combin. 19, 2012).
+Each node branches on its lowest uncovered pair. The search stops at its
+first cover of a proven lower bound's size, and none runs when the greedy
+set already has it; on a graph of diameter at most 2 that bound includes a
+count of the landmarks' neighborhoods (Héger and Takáts, Electron. J.
+Combin. 19, 2012).
 """
 
 from __future__ import annotations
@@ -153,33 +150,6 @@ def _cover_masks(layers: list[list[int]], budget: Budget | None = None) -> list[
     return masks
 
 
-def _pair_order(layers: list[list[int]], budget: Budget) -> list[int] | None:
-    """The pair indices of ``_cover_masks``, fail-first: by the number of
-    vertices equidistant from a and b, largest first, index order among
-    equal counts; None when that order is the identity.
-
-    v is equidistant from a and b iff it lies in a's and b's layers of one
-    distance d >= 1, or reaches neither. Counts are at most n, so the pairs
-    are counting-sorted. ``budget.spend(0)`` per row a reads the clock
-    without charging nodes.
-    """
-    n = len(layers)
-    width = max(map(len, layers))
-    rows = [masks[1:-1] + [0] * (width - len(masks)) for masks in layers]
-    if layers[0][-1]:  # disconnected: every vertex misses some, listed last
-        for row, masks in zip(rows, layers):
-            row.append(masks[-1])
-    buckets: list[list[int]] = [[] for _ in range(n + 1)]
-    p = 0
-    for a, row_a in enumerate(rows):
-        budget.spend(0)
-        for row_b in rows[a + 1:]:
-            buckets[sum(map(int.bit_count, map(int.__and__, row_a, row_b)))].append(p)
-            p += 1
-    order = [p for bucket in reversed(buckets) for p in bucket]
-    return None if order == list(range(p)) else order
-
-
 def _distance_bound(layers: list[list[int]]) -> int:
     """The least beta with beta + D^beta >= n on a connected graph of
     diameter D, else 0. Outside a resolving set of beta landmarks every
@@ -216,7 +186,7 @@ def _trace_bound(layers: list[list[int]]) -> int:
 
 
 class _Closed(Exception):
-    """A pass found a cover of the size it stops at: the metric dimension."""
+    """The search found a cover of the lower bound's size: a least one."""
 
 
 class MetricDimensionResult(NamedTuple):
@@ -238,33 +208,24 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
     [lower, upper] bounds, lower being the largest of the pair-count bound,
     ``_distance_bound`` and ``_trace_bound``. When the greedy set already
     has that many landmarks it is returned as exact with no search (0
-    nodes); otherwise each pass stops at its first cover of that size,
+    nodes); otherwise the search stops at its first cover of that size,
     which the full search would keep, since none is smaller.
     Deterministic: least-index tie-breaks only.
 
-    Each open node counts, once, the uncovered pairs every unbanned
-    landmark separates, and bounds each child from those counts. A child
-    with d landmarks and R uncovered pairs is open iff d + 1 < |best| and
-    some unbanned landmark separates more than ceil(R / (|best| - d - 1)) - 1
-    of them. Only the landmarks whose count at the parent exceeds that are
-    recounted on the child's pairs, largest first, up to the first that
-    still does. Most nodes end there. A child whose landmark shares an orbit
-    with an earlier sibling's, under the group that fixes the node's
-    landmarks and bans, is banned and skipped: each resolving set below it
-    maps to one below that sibling, so the first least set in depth-first
-    order is kept. Every other node, open or not, is one ``budget.spend()``,
-    in depth-first order; skipped symmetric siblings are not charged.
-
-    A graph with generators branches each node on its lowest uncovered
-    pair. One without branches on the first uncovered pair of
-    ``_pair_order``, the pair with the fewest separating landmarks; when
-    that order is not the identity and this pass closes at some beta below
-    the greedy size, a second pass in lowest-pair order, bounded by
-    beta + 1, also stops at its first beta-cover: the landmarks a
-    lowest-pair search alone returns. Both passes charge one budget, and
-    the pair order's rows read its clock; a run stopped in either pass
-    returns the interval from the lower bound to the best cover found so
-    far."""
+    Each open node branches on its lowest uncovered pair. It counts, once,
+    the uncovered pairs every unbanned landmark separates, and bounds each
+    child from those counts. A child with d landmarks and R uncovered pairs
+    is open iff d + 1 < |best| and some unbanned landmark separates more
+    than ceil(R / (|best| - d - 1)) - 1 of them. Only the landmarks whose
+    count at the parent exceeds that are recounted on the child's pairs,
+    largest first, up to the first that still does. Most nodes end there.
+    A child whose landmark shares an orbit with an earlier sibling's, under
+    the group that fixes the node's landmarks and bans, is banned and
+    skipped: each resolving set below it maps to one below that sibling, so
+    the first least set in depth-first order is kept. Every other node,
+    open or not, is one ``budget.spend()``, in depth-first order; skipped
+    symmetric siblings are not charged. A run stopped by its budget returns
+    the interval from the lower bound to the best cover found so far."""
     if budget is None:
         budget = Budget(max_nodes=DEFAULT_MD_BUDGET)
     n = G.n
@@ -282,12 +243,9 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
 
     best = list(incumbent)
     limit = len(best)  # a cover is kept iff it is smaller than this
-    beta = lower0  # a pass stops at its first cover of this size
 
-    def expand(chosen: list[int], covered: int, pool: list[int], gens,
-               at: int) -> None:
-        """Branch an open node on its first uncovered pair: the lowest one,
-        or without ``order`` the first from ``order[at]`` on. ``pool`` holds,
+    def expand(chosen: list[int], covered: int, pool: list[int], gens) -> None:
+        """Branch an open node on its lowest uncovered pair. ``pool`` holds,
         ascending, the landmarks not banned here that separate some
         uncovered pair; ``gens`` generate the pointwise stabilizer of
         ``chosen`` and of the landmarks banned above. Each child is charged
@@ -298,12 +256,7 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
         remaining = full ^ covered
         counts = [(masks[u] & remaining).bit_count() for u in pool]
         ranked = sorted(range(len(pool)), key=counts.__getitem__, reverse=True)
-        if order is None:
-            pair_bit = remaining & -remaining
-        else:
-            while not remaining >> order[at] & 1:
-                at += 1
-            pair_bit = 1 << order[at]
+        pair_bit = remaining & -remaining
         depth = len(chosen) + 1
         banned = 0  # the earlier siblings, as a vertex mask
         reps = orbit_reps(gens, n) if gens else None
@@ -323,7 +276,7 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
             if child == full:
                 if depth < limit:
                     best, limit = chosen + [v], depth
-                    if depth == beta:
+                    if depth == lower0:  # nothing smaller exists
                         raise _Closed
             elif (slack := limit - depth) > 1:
                 # Open iff some landmark covers more than cap of the child's
@@ -340,31 +293,22 @@ def metric_dimension(G: Graph, budget: Budget | None = None) -> MetricDimensionR
                             gens = point_stabilizer(gens, n, unfixed.pop())
                         chosen.append(v)
                         expand(chosen, child, [w for w, c in zip(pool, counts)
-                                               if c and not banned >> w & 1],
-                               gens, at + 1)
+                                               if c and not banned >> w & 1], gens)
                         chosen.pop()
                         break
             banned |= 1 << v
 
-    def search() -> None:
-        budget.spend()  # the root, bounded like any child
-        if limit > 1 and npairs - first_left > (npairs - 1) // (limit - 1):
-            try:
-                expand([], 0, list(range(n)), gens, 0)
-            except _Closed:
-                pass
-
     exact = True
+    # The root is open whenever the greedy set is above lower0, which is at
+    # least the pair-count bound ceil(npairs / the best landmark's count).
     if limit > lower0:
         try:
             masks = _cover_masks(layers, budget)
             full = (1 << npairs) - 1
-            order = None if gens else _pair_order(layers, budget)
-            search()
-            if order is not None and limit < len(incumbent):
-                order, beta = None, limit
-                limit += 1
-                search()
+            budget.spend()  # the root
+            expand([], 0, list(range(n)), gens)
+        except _Closed:
+            pass
         except BudgetExceededError:
             exact = False
     landmarks = tuple(sorted(best))

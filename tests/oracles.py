@@ -296,20 +296,6 @@ def pair_greedy_resolving(G) -> tuple[int, ...]:
     return tuple(sorted(chosen))
 
 
-def pair_order(G, budget) -> list[int]:
-    """The pair indices (pairs in lexicographic order) sorted by the number
-    of vertices equidistant from the pair's two ends, largest first, index
-    order among equal counts: one distance comparison per pair and vertex.
-    ``budget.spend(0)`` once per row a, as the search reads its clock."""
-    rows = distance_rows(G)
-    same = []
-    for a in range(G.n):
-        budget.spend(0)
-        for b in range(a + 1, G.n):
-            same.append(sum(x == y for x, y in zip(rows[a], rows[b])))
-    return sorted(range(len(same)), key=lambda i: -same[i])
-
-
 def trace_bound(G) -> int:
     """The least t with 2(n-1) - 3t <= the sum of the t largest degrees
     when every distance (by networkx BFS) is at most 2, else 0; degrees
@@ -328,22 +314,18 @@ class _Stop(Exception):
     pass
 
 
-def pair_metric_dimension(G, budget, lowest_first=False):
+def pair_metric_dimension(G, budget, to_the_end=False):
     """The branch and bound as it was before children were pruned from
     their parent's counts: every node spends, then takes one AND and
-    popcount per unbanned landmark for its bound. Same incumbent, masks,
-    pair order and interval as ``resolving.metric_dimension`` on a graph
-    without generators, so the two must agree node for node; returns
-    (lower, upper, landmarks, exact, nodes).
+    popcount per unbanned landmark for its bound, and branches on its
+    lowest uncovered pair. Same incumbent, masks and interval as
+    ``resolving.metric_dimension`` on a graph without generators, so the
+    two must agree node for node; returns (lower, upper, landmarks, exact,
+    nodes).
 
     Nothing is searched when the greedy set meets the lower bound, which
-    includes ``trace_bound``; otherwise the first pass stops at its first
-    cover of that size. Each node branches on its first uncovered pair in
-    ``pair_order``. When that order is not the identity and the pass
-    closes below the greedy size, a second pass branches on the lowest
-    uncovered pair, bounded by the closed size plus one, and stops at its
-    first cover of that size. ``lowest_first`` runs the lowest-pair pass
-    alone, to the end, without the skip or the stop."""
+    includes ``trace_bound``; otherwise the search stops at its first cover
+    of that size. ``to_the_end`` searches without the skip or the stop."""
     from locdim import resolving as R
 
     n = G.n
@@ -354,11 +336,11 @@ def pair_metric_dimension(G, budget, lowest_first=False):
     npairs = n * (n - 1) // 2
     lower0 = max(math.ceil(npairs / (npairs - first_left)),
                  R._distance_bound(layers), trace_bound(G))
-    if not lowest_first and len(incumbent) == lower0:
+    if not to_the_end and len(incumbent) == lower0:
         return lower0, lower0, incumbent, True, budget.nodes
 
     best = list(incumbent)
-    limit, target = len(best), 0 if lowest_first else lower0
+    limit, target = len(best), 0 if to_the_end else lower0
 
     def dfs(chosen: list[int], covered: int, banned: frozenset) -> None:
         nonlocal best, limit
@@ -383,7 +365,7 @@ def pair_metric_dimension(G, budget, lowest_first=False):
             return
         if len(chosen) + math.ceil(remaining.bit_count() / max_avail) >= limit:
             return
-        pair = next(p for p in order if remaining >> p & 1)
+        pair = next(p for p in range(npairs) if remaining >> p & 1)
         candidates = [v for v in range(G.n)
                       if v not in banned and masks[v] >> pair & 1]
         newly_banned = set()
@@ -397,19 +379,9 @@ def pair_metric_dimension(G, budget, lowest_first=False):
     try:
         masks = R._cover_masks(layers, budget)
         full = (1 << npairs) - 1
-        lowest = list(range(npairs))
-        order = lowest if lowest_first else pair_order(G, budget)
-        try:
-            dfs([], 0, frozenset())
-        except _Stop:
-            pass
-        if order != lowest and limit < len(incumbent):
-            order, target = lowest, limit
-            limit += 1
-            try:
-                dfs([], 0, frozenset())
-            except _Stop:
-                pass
+        dfs([], 0, frozenset())
+    except _Stop:
+        pass
     except R.BudgetExceededError:
         exact = False
     lower = len(best) if exact else lower0

@@ -172,14 +172,20 @@ def test_bounds_report_accepts_intervals():
 
 
 def test_bounds_report_rejects_empty_intervals():
-    # lo > hi holds no value, so it can contradict no bound: refuse it
-    with pytest.raises(ValueError, match="empty interval 9:8"):
-        L.bounds_report("moore", k=7, computed={"beta": (9, 8)})
-    with pytest.raises(ValueError):
-        L.bounds_report("kneser", k=4, n=12, computed={"zeta": (7, 6)})
+    # lo > hi holds no value, so it can contradict no bound: refuse it, also
+    # where no satisfied entry reads it (K(2,6) has none, K(3,9) none on zeta)
     from locdim.cli import main
-    assert main(["bounds", "report", "--family", "moore", "--k", "7",
-                 "--beta", "9:8"]) == 3
+    cases = [("moore", {"k": 7}, "beta", (9, 8)),
+             ("kneser", {"k": 4, "n": 12}, "zeta", (7, 6)),
+             ("kneser", {"k": 2, "n": 6}, "beta", (5, 3)),
+             ("kneser", {"k": 3, "n": 9}, "zeta", (9, 1))]
+    for family, params, quantity, (lo, hi) in cases:
+        with pytest.raises(ValueError, match=f"empty interval {lo}:{hi}"):
+            L.bounds_report(family, **params, computed={quantity: (lo, hi)})
+        argv = ["bounds", "report", "--family", family]
+        for key, value in params.items():
+            argv += [f"--{key}", str(value)]
+        assert main(argv + [f"--{quantity}", f"{lo}:{hi}"]) == 3, argv
 
 
 def test_bounds_report_polarity_family():

@@ -19,8 +19,8 @@ from locdim.cli import resolve_graph_spec
 
 from oracles import (distance_rows, exhaustive_metric_dimension, neighbors,
                      pair_cover_masks, pair_greedy_resolving,
-                     pair_metric_dimension, pair_order,
-                     randomized_resolving, trace_bound)
+                     pair_metric_dimension, randomized_resolving,
+                     trace_bound)
 
 
 def layers(G):
@@ -143,15 +143,6 @@ def test_kernels_match_pair_loop_oracles_on_random_graphs(data):
     G = L.Graph(n, sorted(edges))
     assert R._cover_masks(layers(G)) == pair_cover_masks(G)
     assert L.greedy_resolving(G) == pair_greedy_resolving(G)
-    if n > 1:
-        assert_pair_order_matches_oracle(G)
-
-
-def assert_pair_order_matches_oracle(G):
-    order = R._pair_order(layers(G), L.Budget())
-    want = pair_order(G, L.Budget())
-    assert (order or list(range(len(want)))) == want
-    return order
 
 
 def test_kernels_match_pair_loop_oracles_on_families():
@@ -160,9 +151,6 @@ def test_kernels_match_pair_loop_oracles_on_families():
               L.cycle_graph(9)):
         assert R._cover_masks(layers(G)) == pair_cover_masks(G)
         assert L.greedy_resolving(G) == pair_greedy_resolving(G)
-        assert_pair_order_matches_oracle(G)
-    # every HS pair has 36 equidistant vertices: the order is the identity
-    assert assert_pair_order_matches_oracle(L.hoffman_singleton()) is None
     G = L.kneser_graph(3, 9)
     assert L.greedy_resolving(G) == pair_greedy_resolving(G)
 
@@ -277,7 +265,7 @@ class RecordingBudget(L.Budget):
 
 def assert_search_matches_oracle(G, max_nodes):
     """Node for node and spend for spend, clock reads included; an uncapped
-    run also keeps the answer of the lowest-pair search alone."""
+    run also keeps the answer of the search run to the end."""
     budget = RecordingBudget(max_nodes=max_nodes)
     oracle_budget = RecordingBudget(max_nodes=max_nodes)
     res = L.metric_dimension(G, budget)
@@ -285,8 +273,8 @@ def assert_search_matches_oracle(G, max_nodes):
     assert got == pair_metric_dimension(G, oracle_budget), (G.name, max_nodes)
     assert budget.spends == oracle_budget.spends
     if max_nodes is None:
-        lowest = pair_metric_dimension(G, L.Budget(), lowest_first=True)
-        assert got[:4] == lowest[:4], G.name
+        whole = pair_metric_dimension(G, L.Budget(), to_the_end=True)
+        assert got[:4] == whole[:4], G.name
     return res
 
 
@@ -314,6 +302,29 @@ def test_search_matches_node_bound_oracle_on_families():
         assert assert_search_matches_oracle(plain(G), None).exact
     assert not assert_search_matches_oracle(plain(L.kneser_graph(3, 9)), 2000).exact
     assert not assert_search_matches_oracle(plain(L.hoffman_singleton()), 20000).exact
+
+
+def random_diameter2(rng, n, p):
+    """A G(n, p) sample with every pair at distance above 2 joined."""
+    pairs = list(combinations(range(n), 2))
+    edges = {e for e in pairs if rng.random() < p}
+    closed = [{v} for v in range(n)]
+    for a, b in edges:
+        closed[a].add(b)
+        closed[b].add(a)
+    return L.Graph(n, sorted(edges | {(a, b) for a, b in pairs
+                                      if not closed[a] & closed[b]}),
+                   name=f"random{n}")
+
+
+def test_search_matches_node_bound_oracle_on_larger_random_graphs():
+    # beyond the hypothesis test's 14 vertices, up to the 28 of the
+    # benchmark's random diameter-2 graphs
+    rng = random.Random(30)
+    for n in [16, 18, 20, 24, 26, 28] * 5:
+        G = random_diameter2(rng, n, 0.35)
+        assert G.diameter() <= 2
+        assert_search_matches_oracle(G, None)
 
 
 SYMMETRIC = [L.petersen(), *map(L.cycle_graph, range(3, 11)),
@@ -365,8 +376,7 @@ def test_closes_under_30000_nodes_and_never_enumerates_the_group(monkeypatch, sp
 
 
 def test_large_graph_without_generators_stays_small_and_stops_near_its_cap():
-    # 330 vertices, 54,285 pairs: the pair order is a list of indices, not
-    # a mask per pair
+    # 330 vertices, 54,285 pairs: one cover mask per landmark, none per pair
     G = plain(L.kneser_graph(4, 11))
     tracemalloc.start()
     try:
